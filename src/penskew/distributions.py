@@ -67,12 +67,18 @@ class DirectParams:
         if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(alpha))
                 and np.all(np.isfinite(omega_mat))):
             raise ValueError("parameters must be finite")
-        if not np.allclose(omega_mat, omega_mat.T, rtol=0, atol=1e-8 * max(1.0, float(np.abs(omega_mat).max()))):
-            raise ValueError("omega_mat must be symmetric")
-        try:
-            np.linalg.cholesky(omega_mat)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("omega_mat must be positive definite") from exc
+        if d == 1:
+            # a finite 1x1 matrix is symmetric, and positive definite iff its entry is > 0
+            if not omega_mat[0, 0] > 0:
+                raise ValueError("omega_mat must be positive definite")
+        else:
+            if not np.allclose(omega_mat, omega_mat.T, rtol=0,
+                               atol=1e-8 * max(1.0, float(np.abs(omega_mat).max()))):
+                raise ValueError("omega_mat must be symmetric")
+            try:
+                np.linalg.cholesky(omega_mat)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("omega_mat must be positive definite") from exc
         if self.nu is not None:
             nu = float(self.nu)
             if not np.isfinite(nu) or nu <= 0:

@@ -1,8 +1,10 @@
 """Likelihood-ratio-type statistics W and W_p and the estimator they define.
 
 The estimator sits where the two statistics coincide on the segment
-joining the plain and penalized maximizers; with the log-quadratic
-penalty the crossing has a closed form through its alpha*^2 value.
+joining the plain and penalized maximizers.  With the log-quadratic
+penalty that is where alpha*^2 meets the ellipsoid value r(y): a closed
+form in t for d = 1, and a scan plus bisection on the raw parameter
+arrays for d > 1.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .likelihood import ModelSpec, loglik, penalized_loglik
 from .penalty import q_value
 
 __all__ = [
+    "WbarBracketError",
     "WbarDiagnostics",
     "ScatterPoint",
     "w_statistics",
@@ -49,8 +52,7 @@ def interpolate_params(a: DirectParams, b: DirectParams, t: float) -> DirectPara
     Positive definiteness and nu > 0 survive convex combination, so
     every point of the segment is a valid parameter.
     """
-    if a.d != b.d or (a.nu is None) != (b.nu is None):
-        raise ValueError("cannot interpolate between incompatible parameter vectors")
+    _check_compatible(a, b)
     t = float(t)
     nu = None if a.nu is None else (1 - t) * a.nu + t * b.nu
     return DirectParams(
@@ -59,6 +61,19 @@ def interpolate_params(a: DirectParams, b: DirectParams, t: float) -> DirectPara
         alpha=(1 - t) * a.alpha + t * b.alpha,
         nu=nu,
     )
+
+
+def _check_compatible(a: DirectParams, b: DirectParams) -> None:
+    if a.d != b.d or (a.nu is None) != (b.nu is None):
+        raise ValueError("cannot interpolate between incompatible parameter vectors")
+
+
+def _segment_alpha_star_sq(a: DirectParams, b: DirectParams, t: float) -> float:
+    """alpha*^2 = alpha' Omega-bar alpha at (1-t) a + t b, from the raw arrays."""
+    alpha = (1 - t) * a.alpha + t * b.alpha
+    omega_mat = (1 - t) * a.omega_mat + t * b.omega_mat
+    z = alpha / np.sqrt(np.diag(omega_mat))
+    return float(z @ omega_mat @ z)
 
 
 def w_statistics(theta: DirectParams, data: Dataset, spec: ModelSpec,
@@ -81,14 +96,32 @@ def _with_penalty(spec: ModelSpec, mple: FitResult) -> ModelSpec:
                      fixed=spec.fixed, penalty=mple.penalty)
 
 
+class WbarBracketError(ValueError):
+    """The MLE and the MPLE do not straddle the W = W_p surface.
+
+    At the MLE, W_p - W = 2 {l_p(theta-tilde) - l_p(theta-hat)}; at the
+    MPLE it is 2 {l(theta-tilde) - l(theta-hat)}.  A violated bracket
+    therefore means one input fit is not the maximum it claims to be.
+    """
+
+
 def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult,
              opts: FitOptions | None = None, allow_boundary_mle: bool = False) -> FitResult:
     """Locate the point on the segment from the MLE to the MPLE where W = W_p.
 
-    The difference W_p - W reduces to 2 {Q(theta_t) - q(y)} with
-    q(y) = l(theta-hat) - l_p(theta-tilde), so the crossing is found by
-    bisection on the segment (guaranteed bracket) and cross-checks the
-    ellipsoid closed form r(y) = (exp(q/c1) - 1)/c2.
+    The difference W_p - W reduces to g(t) = 2 {Q(theta_t) - q(y)} with
+    q(y) = l(theta-hat) - l_p(theta-tilde), and Q increases in alpha*^2,
+    so the crossing is where alpha*^2(t) meets the ellipsoid value
+    r(y) = (exp(q/c1) - 1)/c2.  Both ends are checked first: g(0) > 0 > g(1)
+    must hold, or ``WbarBracketError`` names the fit that is not a maximum.
+
+    For d = 1, alpha*^2 = alpha^2 and alpha is linear in t, so the root is
+    the closed form t = (alpha-hat - sign(alpha-hat) sqrt(r)) / (alpha-hat - alpha-tilde),
+    unique because alpha(t)^2 - r is a quadratic positive at 0 and negative
+    at 1.  For d > 1, a 33-point scan counts the sign changes and takes the
+    one nearest the MPLE, then bisection and one secant step refine it;
+    both evaluate alpha*^2 on the raw arrays of the segment, and a parameter
+    object is built only at the root.
 
     A diverged MLE leaves the estimator undefined; passing
     ``allow_boundary_mle=True`` instead uses the threshold-clamped fit
@@ -109,36 +142,28 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult,
     q_y = float(mle.loglik_at_opt - mple.penalized_loglik_at_opt)
     r_y = float(np.expm1(q_y / coeffs.c1) / coeffs.c2)
     theta_hat, theta_tilde = mle.estimates, mple.estimates
+    _check_compatible(theta_hat, theta_tilde)
 
     def g(t: float) -> float:
-        params = interpolate_params(theta_hat, theta_tilde, t)
-        return 2.0 * (q_value(coeffs, alpha_star(params) ** 2) - q_y)
+        return 2.0 * (q_value(coeffs, _segment_alpha_star_sq(theta_hat, theta_tilde, t)) - q_y)
 
     g0, g1 = g(0.0), g(1.0)
     if not (g0 > 0.0 > g1):
-        raise ValueError(f"bracket violation: g(0)={g0:.3e}, g(1)={g1:.3e}; "
-                         "the two fits do not straddle the W = W_p surface")
-    # count sign changes on a coarse scan; take the bracket nearest the MPLE
-    ts = np.linspace(0.0, 1.0, 33)
-    gs = np.array([g(t) for t in ts])
-    flips = np.nonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[0]
-    multiplicity = max(len(flips), 1)
-    lo, hi = (ts[flips[-1]], ts[flips[-1] + 1]) if len(flips) else (0.0, 1.0)
-    glo, ghi = g(lo), g(hi)
-    for _ in range(60):  # bisect to 1e-10 in t
-        if hi - lo < 1e-10:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    t_root = 0.5 * (lo + hi)
-    if ghi != glo:  # one secant polish
-        t_sec = lo - glo * (hi - lo) / (ghi - glo)
-        if lo <= t_sec <= hi:
-            t_root = t_sec
+        found = []
+        if not g0 > 0.0:
+            found.append("the MPLE is not the penalized maximum: with the MPLE's penalty, "
+                         f"l_p at the MLE exceeds l_p at the MPLE by {-g0 / 2:.3g}")
+        if not g1 < 0.0:
+            found.append("the MLE is not the maximum: "
+                         f"l at the MPLE exceeds l at the MLE by {g1 / 2:.3g}")
+        raise WbarBracketError(f"bracket violation: g(0)={g0:.3e}, g(1)={g1:.3e}; "
+                               + "; ".join(found))
+    if theta_hat.d == 1:
+        a_hat, a_tilde = float(theta_hat.alpha[0]), float(theta_tilde.alpha[0])
+        t_root = (a_hat - np.copysign(np.sqrt(r_y), a_hat)) / (a_hat - a_tilde)
+        multiplicity = 1
+    else:
+        t_root, multiplicity = _bisect_crossing(g)
     theta_bar = interpolate_params(theta_hat, theta_tilde, t_root)
     pen_spec = spec if spec.penalty is not None else _with_penalty(spec, mple)
     ll = loglik(theta_bar, data, spec)
@@ -159,6 +184,35 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult,
     return FitResult(method="WBAR", estimates=theta_bar, loglik_at_opt=ll,
                      penalized_loglik_at_opt=ll - q_value(coeffs, alpha_star(theta_bar) ** 2),
                      converged=True, iterations=0, penalty=coeffs, diagnostics=diag)
+
+
+def _bisect_crossing(g) -> tuple[float, int]:
+    """Root of g on [0, 1] given g(0) > 0 > g(1), and the scan's sign-change count.
+
+    The bracket taken is the 33-point scan's last sign change, the one
+    nearest the MPLE; bisection narrows it to 1e-10 in t and one secant
+    step polishes the result.
+    """
+    ts = np.linspace(0.0, 1.0, 33)
+    gs = np.array([g(t) for t in ts])
+    flips = np.nonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[0]
+    k = flips[-1]
+    lo, hi, glo, ghi = ts[k], ts[k + 1], gs[k], gs[k + 1]
+    for _ in range(60):
+        if hi - lo < 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if glo * gm <= 0:
+            hi, ghi = mid, gm
+        else:
+            lo, glo = mid, gm
+    t_root = 0.5 * (lo + hi)
+    if ghi != glo:
+        t_sec = lo - glo * (hi - lo) / (ghi - glo)
+        if lo <= t_sec <= hi:
+            t_root = t_sec
+    return float(t_root), len(flips)
 
 
 def emit_w_scatter(n_reps: int, n: int, alpha_true: float, seed,

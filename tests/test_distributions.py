@@ -30,12 +30,29 @@ class TestDirectParams:
         assert p.omega_bar[0, 0] == pytest.approx(1.0)
 
     def test_rejects_non_spd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="omega_mat must be positive definite"):
             DirectParams(xi=[0, 0], omega_mat=[[1, 2], [2, 1]], alpha=[0, 0])
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="omega_mat must be symmetric"):
             DirectParams(xi=[0, 0], omega_mat=[[1, 0.5], [0.2, 1]], alpha=[0, 0])
+
+    @pytest.mark.parametrize("omega_mat, message", [
+        ([[0.0]], "omega_mat must be positive definite"),
+        ([[-1.0]], "omega_mat must be positive definite"),
+        ([[-0.0]], "omega_mat must be positive definite"),
+        ([[np.nan]], "parameters must be finite"),
+        ([[np.inf]], "parameters must be finite"),
+        ([[1.0, 0.0]], "inconsistent dimensions"),
+        ([[1.0], [0.0]], "inconsistent dimensions"),
+    ], ids=["zero", "negative", "negative-zero", "nan", "inf", "row", "column"])
+    def test_scalar_scale_validation(self, omega_mat, message):
+        # d = 1 skips the symmetry and Cholesky checks; the errors must be unchanged
+        with pytest.raises(ValueError, match=message):
+            DirectParams(xi=[0.0], omega_mat=omega_mat, alpha=[1.0])
+
+    def test_scalar_tiny_positive_scale_accepted(self):
+        assert DirectParams(xi=[0.0], omega_mat=[[5e-324]], alpha=[1.0]).d == 1
 
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,76 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from penskew.distributions import Dataset, DirectParams, sample
+from penskew.distributions import Dataset, DirectParams, alpha_star, sample
 from penskew.estimators import DivergedMLEError, fit_mle, fit_mple
-from penskew.likelihood import ModelSpec
-from penskew.wbar import emit_w_scatter, fit_wbar, interpolate_params, w_statistics
+from penskew.likelihood import ModelSpec, penalized_loglik
+from penskew.penalty import q_value
+from penskew.wbar import (WbarBracketError, emit_w_scatter, fit_wbar, interpolate_params,
+                          w_statistics)
 
 from conftest import sn_sample, seeded
 
 ONE_PARAM = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
 THREE_PARAM = ModelSpec(family="sn", dimension=1)
+D2 = ModelSpec(family="sn", dimension=2)
+SN5 = DirectParams.scalar(0.0, 1.0, 5.0)
+ST_TRUTH = DirectParams.scalar(0.0, 1.0, 3.0, nu=4.0)
+D2_TRUTH = DirectParams(xi=[0.0, 0.0], omega_mat=[[1.0, 0.5], [0.5, 1.0]], alpha=[3.0, -1.0])
+
+# (spec, truth, n, seed key) of one seeded fit per model class
+ORACLE_CASES = {
+    "1p": (ONE_PARAM, SN5, 100, (32, 4)),
+    "3p": (THREE_PARAM, SN5, 120, (31, 0)),
+    "st_pin": (ModelSpec(family="st", dimension=1, fixed={"nu": 4.0}), ST_TRUTH, 200, (402, 0, 3)),
+    "st_free": (ModelSpec(family="st", dimension=1), ST_TRUTH, 200, (402, 1, 3)),
+    "d2": (D2, D2_TRUTH, 200, (401, 2, 3)),
+}
+
+
+def oracle_crossing(mle, mple):
+    """Reference root search: a 33-point scan and bisection over validated
+    parameter objects, the generic method for any dimension.
+
+    Returns (t, number of sign changes the scan sees).
+    """
+    coeffs = mple.penalty
+    q_y = mle.loglik_at_opt - mple.penalized_loglik_at_opt
+
+    def g(t):
+        params = interpolate_params(mle.estimates, mple.estimates, t)
+        return 2.0 * (q_value(coeffs, alpha_star(params) ** 2) - q_y)
+
+    ts = np.linspace(0.0, 1.0, 33)
+    gs = np.array([g(t) for t in ts])
+    flips = np.nonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[0]
+    lo, hi = ts[flips[-1]], ts[flips[-1] + 1]
+    glo, ghi = g(lo), g(hi)
+    for _ in range(60):
+        if hi - lo < 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if glo * gm <= 0:
+            hi, ghi = mid, gm
+        else:
+            lo, glo = mid, gm
+    t_root = 0.5 * (lo + hi)
+    if ghi != glo:
+        t_sec = lo - glo * (hi - lo) / (ghi - glo)
+        if lo <= t_sec <= hi:
+            t_root = t_sec
+    return t_root, len(flips)
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def class_fits(request):
+    spec, truth, n, key = ORACLE_CASES[request.param]
+    data = sample(truth, n, seeded(*key))
+    mle = fit_mle(data, spec)
+    assert not mle.diverged
+    return request.param, data, spec, mle, fit_mple(data, spec)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +164,60 @@ class TestFitWbar:
             a_hat.append(float(mle.estimates.alpha[0]))
             a_bar.append(float(wbar.estimates.alpha[0]))
         assert abs(np.median(a_bar) - 5.0) < abs(np.median(a_hat) - 5.0)
+
+
+class TestRootSearch:
+    def test_matches_scan_oracle(self, class_fits):
+        name, data, spec, mle, mple = class_fits
+        wbar = fit_wbar(data, spec, mle, mple)
+        t_ref, flips_ref = oracle_crossing(mle, mple)
+        t = wbar.diagnostics.segment_parameter
+        assert t == pytest.approx(t_ref, rel=1e-9)
+        ref = interpolate_params(mle.estimates, mple.estimates, t_ref)
+        for attr in ("xi", "omega_mat", "alpha"):
+            np.testing.assert_allclose(getattr(wbar.estimates, attr), getattr(ref, attr),
+                                       rtol=1e-9, err_msg=f"{name}: {attr}")
+        if ref.nu is not None:
+            assert wbar.estimates.nu == pytest.approx(ref.nu, rel=1e-9)
+        if spec.dimension == 1:
+            assert wbar.diagnostics.root_multiplicity == 1 == flips_ref
+        else:
+            assert wbar.diagnostics.root_multiplicity == flips_ref
+
+    def test_builds_no_parameter_object_per_search_point(self, class_fits, monkeypatch):
+        _, data, spec, mle, mple = class_fits
+        built = []
+        post_init = DirectParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DirectParams, "__post_init__", counting)
+        fit_wbar(data, spec, mle, mple)
+        assert len(built) <= 3
+
+    def test_bracket_violation_names_the_mple(self):
+        # a seeded d = 2 sample whose MPLE is not the penalized maximum
+        data = sample(D2_TRUTH, 200, np.random.SeedSequence(401, spawn_key=(2, 19)))
+        mle, mple = fit_mle(data, D2), fit_mple(data, D2)
+        pen_spec = ModelSpec(family="sn", dimension=2, penalty=mple.penalty)
+        gap = penalized_loglik(mle.estimates, data, pen_spec) - mple.penalized_loglik_at_opt
+        assert gap > 1.0
+        with pytest.raises(WbarBracketError,
+                           match="the MPLE is not the penalized maximum") as err:
+            fit_wbar(data, D2, mle, mple)
+        assert isinstance(err.value, ValueError)
+        assert "the MLE is not the maximum" not in str(err.value)
+        assert f"by {gap:.3g}" in str(err.value)
+
+    def test_bracket_violation_names_the_mle(self, finite_fits):
+        data, mle, mple = finite_fits
+        worse = dataclasses.replace(mle, loglik_at_opt=mple.loglik_at_opt - 0.5)
+        with pytest.raises(WbarBracketError, match="the MLE is not the maximum") as err:
+            fit_wbar(data, THREE_PARAM, worse, mple)
+        assert "by 0.5" in str(err.value)
+        assert "the MPLE is not" not in str(err.value)
 
 
 class TestInterpolate:
