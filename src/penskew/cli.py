@@ -85,7 +85,7 @@ def _cmd_fit(args) -> int:
         if mle.diverged:
             print("wbar unavailable: MLE diverged", file=sys.stderr)
         else:
-            fits["wbar"] = fit_wbar(data, spec, mle, mple, opts)
+            fits["wbar"] = fit_wbar(data, spec, mle, mple)
     report = {
         "schema": FIT_SCHEMA,
         "version": __version__,

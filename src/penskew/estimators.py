@@ -5,6 +5,9 @@ observed information.
 Optimization runs in transformed coordinates (log scale, log nu, raw
 shape) from a method-of-moments start: a quasi-Newton pass on central
 finite-difference gradients, with a simplex fallback when it stalls.
+The shape-only model (xi and omega pinned, d = 1) is fitted instead by
+safeguarded Newton steps on the closed-form score in alpha and its
+derivative, kept inside a sign bracket.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.linalg import solve_triangular
 from .distributions import Dataset, DirectParams, alpha_star
 from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, penalized_loglik
 from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
-from .specfun import QuadratureRule, expect_t, t_logcdf, zeta1, zeta1_t
+from .specfun import QuadratureRule, _zeta1, expect_t, t_logcdf, zeta1_t
 
 __all__ = [
     "FitOptions",
@@ -379,6 +382,16 @@ def _minimize(objective, x0, opts: FitOptions):
     return res, nit, stages
 
 
+def _shape_moment_alpha(z: np.ndarray) -> float:
+    """Shape-only moment estimate: match the skewness of standardized data ``z``."""
+    zz = z * z
+    g1z = float(np.dot(zz, z)) / max(float(zz.sum()) / len(z), 1e-12) ** 1.5 / len(z)
+    cz = math.cbrt(2.0 * min(max(g1z, -0.9), 0.9) / (4.0 - math.pi))
+    mzz = cz / math.sqrt(1.0 + cz * cz)
+    dz = min(max(mzz * math.sqrt(math.pi / 2.0), -0.995), 0.995)
+    return dz / math.sqrt(1.0 - dz * dz)
+
+
 def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
     """Method-of-moments initial point honoring pinned components."""
     rows = data.rows
@@ -408,13 +421,8 @@ def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
     if "alpha" in spec.fixed:
         alpha = fmap._fixed_alpha().copy()
     elif not fmap.free_xi and not fmap.free_scale:
-        # shape-only model: moment-match on the standardized data
         z = (rows - xi) / omega
-        g1z = np.mean(z**3, axis=0) / np.maximum(np.mean(z**2, axis=0), 1e-12) ** 1.5
-        cz = np.cbrt(2.0 * np.clip(g1z, -0.9, 0.9) / (4.0 - np.pi))
-        mzz = cz / np.sqrt(1.0 + cz * cz)
-        dz = np.clip(mzz * np.sqrt(np.pi / 2.0), -0.995, 0.995)
-        alpha = dz / np.sqrt(1.0 - dz * dz)
+        alpha = np.array([_shape_moment_alpha(z[:, j]) for j in range(d)])
     elif d == 1:
         alpha = delta / np.sqrt(1.0 - delta * delta)
     else:
@@ -441,7 +449,68 @@ def _check_data(data: Dataset, spec: ModelSpec, fmap: _FreeMap):
 
 
 # ---------------------------------------------------------------------------
-# one-parameter fast paths
+# one-parameter fits: safeguarded Newton on the analytic shape score
+
+_NEWTON_XTOL = 1e-12
+_NEWTON_MAXEV = 100
+
+
+class _ShapeScore:
+    """Score of the shape-only log-likelihood in alpha, and its derivative.
+
+    Skew-normal: sum z zeta1(alpha z).  Skew-t: sum w zeta1_t(alpha w; m)
+    with w = z sqrt(m / (nu + z^2)) and m = nu + 1.  The derivatives use
+    zeta1'(x) = -zeta1(x) (x + zeta1(x)) and
+    zeta1_t'(x; m) = -zeta1_t(x; m) ((m + 1) x / (m + x^2) + zeta1_t(x; m)).
+    The score at zero is a positive constant times sum(w), so the sign
+    of ``w.sum()`` says on which side of zero the likelihood rises.
+    """
+
+    def __init__(self, z: np.ndarray, nu: float | None):
+        self.m = None if nu is None else nu + 1.0
+        self.w = z if nu is None else z * np.sqrt(self.m / (nu + z * z))
+
+    def __call__(self, a: float) -> tuple[float, float]:
+        u = a * self.w
+        if self.m is None:
+            r = _zeta1(u)
+            dr = -r * (u + r)
+        else:
+            r = zeta1_t(u, self.m)
+            dr = -r * ((self.m + 1.0) * u / (self.m + u * u) + r)
+        return float(np.sum(self.w * r)), float(np.dot(self.w * self.w, dr))
+
+
+def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int]:
+    """Root of ``f`` in [lo, hi] given f(lo) > 0 > f(hi).
+
+    ``f`` returns (value, derivative).  Each evaluation moves the end of
+    the bracket whose sign it shares, and a Newton step that would leave
+    the bracket becomes a bisection, so the search ends at a crossing
+    from positive to negative: a local maximum when ``f`` is the
+    derivative of an objective.  Starts at ``x0`` when it lies strictly
+    inside, else at the midpoint.  Returns the root and the number of
+    evaluations.
+    """
+    x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
+    for nfev in range(1, _NEWTON_MAXEV + 1):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x, nfev
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        tol = _NEWTON_XTOL * max(1.0, abs(x))
+        x_new = x - fx / dfx if dfx != 0.0 else math.nan
+        if abs(x_new - x) <= tol:
+            return min(max(x_new, lo), hi), nfev
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                return x_new, nfev
+        x = x_new
+    return x, _NEWTON_MAXEV
 
 
 def _one_param_negll(data: Dataset, spec: ModelSpec):
@@ -455,41 +524,60 @@ def _one_param_negll(data: Dataset, spec: ModelSpec):
 
 
 def _fit_one_param(data: Dataset, spec: ModelSpec, opts: FitOptions, penalized: bool):
+    """Shape-only MLE or MPLE: safeguarded Newton from the moment estimate.
+
+    The score at zero picks the side the (penalized) likelihood rises
+    to; the search interval runs from zero to the divergence threshold
+    for the MLE and to the threshold plus 50 for the MPLE.  An MLE
+    whose score keeps its sign at the threshold has diverged.
+    """
     negll = _one_param_negll(data, spec)
     thr = opts.divergence_threshold
     xi = float(spec.fixed["xi"]); omega = float(spec.fixed["omega"])
     nu = spec.fixed.get("nu")
-    if not penalized:
-        # a one-sign sample maximizes the shape-only likelihood at infinity;
-        # the sign test is exact where an optimizer could stall on the
-        # float-flat plateau short of the threshold
-        z = (data.column(0) - xi) / omega
-        if np.all(z > 0) or np.all(z < 0):
-            a_rep = math.copysign(thr, z[0])
-            est = DirectParams.scalar(xi, omega, a_rep, nu)
-            return FitResult(method="MLE", estimates=est, loglik_at_opt=-negll(a_rep),
-                             diverged=True, converged=True, iterations=0)
-    if penalized:
-        coeffs = resolve_penalty(spec)
-        objective = lambda a: negll(a) + q_value(coeffs, a * a)
-    else:
-        coeffs = None
-        objective = negll
-    res = optimize.minimize_scalar(objective, bounds=(-thr - 50.0, thr + 50.0),
-                                   method="bounded", options=dict(xatol=1e-9))
-    a_hat = float(res.x)
-    nfev = int(res.nfev)
-    if not penalized and abs(a_hat) > thr:
-        a_rep = math.copysign(thr, a_hat)
+
+    def diverged(a_rep, nfev):
         est = DirectParams.scalar(xi, omega, a_rep, nu)
         return FitResult(method="MLE", estimates=est, loglik_at_opt=-negll(a_rep),
                          diverged=True, converged=True, iterations=nfev)
+
+    z = (data.column(0) - xi) / omega
+    if not penalized and (np.all(z > 0) or np.all(z < 0)):
+        # a one-sign sample maximizes the shape-only likelihood at infinity;
+        # the sign test is exact where a search could stall on the
+        # float-flat plateau short of the threshold
+        return diverged(math.copysign(thr, z[0]), 0)
+    score = _ShapeScore(z, None if nu is None else float(nu))
+    if penalized:
+        coeffs = resolve_penalty(spec)
+        k, c2 = 2.0 * coeffs.c1 * coeffs.c2, coeffs.c2
+
+        def f(a):
+            s, ds = score(a)
+            den = 1.0 + c2 * a * a
+            return s - k * a / den, ds - k * (1.0 - c2 * a * a) / (den * den)
+        end = thr + 50.0
+    else:
+        f, end = score, thr
+    side = float(np.sign(score.w.sum()))
+    a_hat, nfev = 0.0, 0
+    if side != 0.0:
+        f_end = f(side * end)[0]
+        nfev = 1
+        if (f_end < 0.0) if side > 0.0 else (f_end > 0.0):
+            lo, hi = sorted((0.0, side * end))
+            a_hat, n_newton = _safeguarded_newton(f, lo, hi, _shape_moment_alpha(z))
+            nfev += n_newton
+        elif penalized or f_end == 0.0:
+            a_hat = side * end  # the maximum is at the end, or beyond it for the MPLE
+        else:
+            return diverged(side * thr, nfev)
     est = DirectParams.scalar(xi, omega, a_hat, nu)
     ll = -negll(a_hat)
     if penalized:
         return FitResult(method="MPLE", estimates=est, loglik_at_opt=ll,
-                         penalized_loglik_at_opt=-float(res.fun), converged=True,
-                         iterations=nfev, penalty=coeffs)
+                         penalized_loglik_at_opt=ll - q_value(coeffs, a_hat * a_hat),
+                         converged=True, iterations=nfev, penalty=coeffs)
     return FitResult(method="MLE", estimates=est, loglik_at_opt=ll,
                      converged=True, iterations=nfev)
 
@@ -587,6 +675,29 @@ def fit_mple(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> 
 _GH64 = QuadratureRule.gauss_hermite(64)
 
 
+def _sn_m_and_slope(a: float, rule: QuadratureRule = _GH64) -> tuple[float, float]:
+    """M(alpha) of :func:`sn_m_exact` and its derivative in alpha.
+
+    With M = A(alpha) R(delta), A = -alpha / (2 (1 + alpha^2)) and
+    R = E{X^4 zeta1(delta X)} / E{X^2 zeta1(delta X)}, the derivative is
+    A' R + A R' d delta/d alpha, where d delta/d alpha = (1 + alpha^2)^(-3/2)
+    and R' follows from zeta1'(x) = -zeta1(x) (x + zeta1(x)).
+    """
+    s = 1.0 + a * a
+    x = rule.nodes
+    u = (a / math.sqrt(s)) * x
+    r = _zeta1(u)
+    dr = -r * (u + r)
+    w2 = rule.weights * x * x
+    w4 = w2 * x * x
+    e2, e4 = float(np.dot(w2, r)), float(np.dot(w4, r))
+    de2, de4 = float(np.dot(w2 * x, dr)), float(np.dot(w4 * x, dr))
+    ratio = e4 / e2
+    d_ratio = (de4 - ratio * de2) / e2 / (s * math.sqrt(s))
+    amp = -a / (2.0 * s)
+    return amp * ratio, -(1.0 - a * a) / (2.0 * s * s) * ratio + amp * d_ratio
+
+
 def sn_m_exact(alpha: float, rule: QuadratureRule = _GH64) -> float:
     """Score correction M(alpha) = -(alpha/2) a4/a2 for the scalar skew-normal.
 
@@ -597,19 +708,16 @@ def sn_m_exact(alpha: float, rule: QuadratureRule = _GH64) -> float:
     a = float(alpha)
     if a == 0.0:
         return 0.0
-    delta = a / math.sqrt(1.0 + a * a)
-    z = zeta1(delta * rule.nodes)
-    e2 = float(np.dot(rule.weights, rule.nodes**2 * z))
-    e4 = float(np.dot(rule.weights, rule.nodes**4 * z))
-    return -a / (2.0 * (1.0 + a * a)) * e4 / e2
+    return _sn_m_and_slope(a, rule)[0]
 
 
 def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None,
                      opts: FitOptions | None = None) -> FitResult:
     """Root of the modified score l'(alpha) + M(alpha) = 0, one-parameter model.
 
-    The root always exists and is finite; it is located by geometric
-    bracket expansion followed by Brent's method.
+    The root always exists and is finite.  Doubling steps away from zero
+    bracket it, and safeguarded Newton steps on the analytic modified
+    score and its derivative, started from the moment estimate, locate it.
     """
     opts = opts or FitOptions()
     if spec is None:
@@ -619,23 +727,32 @@ def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None,
                          "one-parameter skew-normal model")
     y = data.column(0)
     z = (y - float(spec.fixed["xi"])) / float(spec.fixed["omega"])
+    score = _ShapeScore(z, None)
 
     def h(a):
-        return float(np.sum(z * zeta1(a * z))) + sn_m_exact(a)
+        s, ds = score(a)
+        m, dm = _sn_m_and_slope(a)
+        return s + m, ds + dm
 
-    h0 = h(0.0)
+    h0 = h(0.0)[0]
     if h0 == 0.0:
         root, nfev = 0.0, 1
     else:
         side = 1.0 if h0 > 0 else -1.0
-        lo, hi, nfev = 0.0, side, 1
-        while h(hi) * h0 > 0:
+        lo, hi = 0.0, side
+        h_hi, nfev = h(hi)[0], 2
+        while h_hi * h0 > 0:
             lo, hi = hi, hi * 2.0
-            nfev += 1
             if abs(hi) > 2.0**45:
                 raise RootBracketError("modified score never changed sign", min(0, hi), max(0, hi))
-        a, b = (lo, hi) if lo < hi else (hi, lo)
-        root = float(optimize.brentq(h, a, b, xtol=1e-10))
+            h_hi = h(hi)[0]
+            nfev += 1
+        if h_hi == 0.0:
+            root = hi
+        else:
+            a, b = (lo, hi) if lo < hi else (hi, lo)
+            root, n_newton = _safeguarded_newton(h, a, b, _shape_moment_alpha(z))
+            nfev += n_newton
     est = DirectParams.scalar(float(spec.fixed["xi"]), float(spec.fixed["omega"]), root)
     return FitResult(method="SF", estimates=est, loglik_at_opt=loglik(est, data, spec),
                      converged=True, iterations=nfev)

@@ -74,16 +74,25 @@ class ModelSpec:
         if (self.family == "st") != params.is_skew_t:
             raise ValueError(f"family {self.family!r} inconsistent with params (nu={params.nu})")
         for key, value in self.fixed.items():
-            if key == "xi" and not np.allclose(params.xi, value, rtol=0, atol=1e-9):
-                raise ValueError(f"params.xi={params.xi} violates pinned xi={value}")
-            if key == "omega" and not np.isclose(params.omega, value, rtol=0, atol=1e-9):
-                raise ValueError(f"params.omega={params.omega} violates pinned omega={value}")
-            if key == "omega_mat" and not np.allclose(params.omega_mat, value, rtol=0, atol=1e-9):
-                raise ValueError("params.omega_mat violates pinned omega_mat")
-            if key == "alpha" and not np.allclose(params.alpha, value, rtol=0, atol=1e-9):
-                raise ValueError(f"params.alpha={params.alpha} violates pinned alpha={value}")
-            if key == "nu" and not np.isclose(params.nu, value, rtol=0, atol=1e-9):
-                raise ValueError(f"params.nu={params.nu} violates pinned nu={value}")
+            have = params.omega if key == "omega" else getattr(params, key)
+            if self.dimension == 1:
+                # one-element components: plain floats, same tolerance as allclose below
+                a, b = float(np.asarray(have).item()), float(np.asarray(value).item())
+                ok = a == b or abs(a - b) <= _PIN_ATOL
+            else:
+                ok = np.allclose(have, value, rtol=0, atol=_PIN_ATOL)
+            if not ok:
+                raise ValueError(_PIN_MESSAGES[key].format(have=have, value=value))
+
+
+_PIN_ATOL = 1e-9
+_PIN_MESSAGES = {
+    "xi": "params.xi={have} violates pinned xi={value}",
+    "omega": "params.omega={have} violates pinned omega={value}",
+    "omega_mat": "params.omega_mat violates pinned omega_mat",
+    "alpha": "params.alpha={have} violates pinned alpha={value}",
+    "nu": "params.nu={have} violates pinned nu={value}",
+}
 
 
 def _sn1_loglik(y: np.ndarray, xi: float, omega: float, alpha: float) -> float:

@@ -2,7 +2,9 @@
 
 Per-replicate seeds come from a splittable SeedSequence keyed by
 (sample size, replicate index), so results are reproducible bit for bit
-regardless of worker count or execution order.
+regardless of worker count or execution order.  A parallel study runs
+on one process pool that takes the replicate chunks of every sample
+size.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
             out["errors"]["SF"] = repr(exc)
     if "WBAR" in need and mle is not None and mple is not None:
         try:
-            wbar = fit_wbar(data, spec, mle, mple, opts, allow_boundary_mle=True)
+            wbar = fit_wbar(data, spec, mle, mple, allow_boundary_mle=True)
             out["WBAR"] = fmap.direct_pack(wbar.estimates)
         except Exception as exc:
             out["errors"]["WBAR"] = repr(exc)
@@ -263,18 +265,25 @@ def _worker(args):
     return [_run_replicate(config, n, rep) for rep in reps]
 
 
-def _collect_replicates(config: StudyConfig, n: int) -> list:
+def _replicates_by_n(config: StudyConfig):
+    """Yield (n, replicate results in replicate order) for each sample size.
+
+    With more than one worker, one process pool serves the whole study:
+    every (n, chunk) task is submitted at once, and each sample size is
+    yielded as soon as its chunks are back, while later ones still run.
+    """
     reps = list(range(config.replicates))
     if not config.workers or config.workers <= 1:
-        return [_run_replicate(config, n, rep) for rep in reps]
+        for n in config.sample_sizes:
+            yield n, [_run_replicate(config, n, rep) for rep in reps]
+        return
     chunk = max(1, config.replicates // (config.workers * 8))
     batches = [reps[i:i + chunk] for i in range(0, len(reps), chunk)]
-    results: list = [None] * config.replicates
+    tasks = [(config, n, b) for n in config.sample_sizes for b in batches]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for batch in pool.map(_worker, [(config, n, b) for b in batches]):
-            for item in batch:
-                results[item["rep"]] = item
-    return results
+        done = pool.map(_worker, tasks)
+        for n in config.sample_sizes:
+            yield n, [item for _ in batches for item in next(done)]
 
 
 def run_study(config: StudyConfig) -> StudySummary:
@@ -289,8 +298,7 @@ def run_study(config: StudyConfig) -> StudySummary:
     truth = fmap.direct_pack(config.true_params)
     rows, est_store, div_store = [], {e: {} for e in config.estimators}, {}
     failure_counts = {}
-    for n in config.sample_sizes:
-        results = _collect_replicates(config, n)
+    for n, results in _replicates_by_n(config):
         diverged = np.array([r["diverged"] for r in results], dtype=bool)
         div_store[n] = diverged.tolist()
         for est in config.estimators:

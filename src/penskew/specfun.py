@@ -80,9 +80,12 @@ def zeta1(x):
     the ratio accurate where both factors underflow.  Strictly positive,
     ~ -x as x -> -inf and -> 0 as x -> +inf.
     """
-    arr = _as_float_array(x)
-    out = np.exp(-0.5 * arr * arr - 0.5 * _LOG2PI - special.log_ndtr(arr))
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(_zeta1(_as_float_array(x)), x)
+
+
+def _zeta1(arr: np.ndarray) -> np.ndarray:
+    """:func:`zeta1` on a float array already known to be finite."""
+    return np.exp(-0.5 * arr * arr - 0.5 * _LOG2PI - special.log_ndtr(arr))
 
 
 def t_logpdf(x, nu):

@@ -105,8 +105,8 @@ class WbarBracketError(ValueError):
     """
 
 
-def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult,
-             opts: FitOptions | None = None, allow_boundary_mle: bool = False) -> FitResult:
+def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
+             allow_boundary_mle: bool = False) -> FitResult:
     """Locate the point on the segment from the MLE to the MPLE where W = W_p.
 
     The difference W_p - W reduces to g(t) = 2 {Q(theta_t) - q(y)} with

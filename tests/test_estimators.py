@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from penskew.distributions import Dataset, DirectParams, sample
 from penskew.estimators import (
@@ -9,12 +12,14 @@ from penskew.estimators import (
     fit_mle,
     fit_mple,
     fit_sf_one_param,
+    resolve_penalty,
     sn_m_exact,
     st_m_exact,
     stderr_from_penalized_info,
 )
 from penskew.likelihood import ModelSpec, loglik, penalized_loglik
-from penskew.penalty import PenaltyCoeffs, q_prime, st_e_coeffs_exact
+from penskew.penalty import PenaltyCoeffs, q_prime, q_value, st_e_coeffs_exact
+from penskew.specfun import t_logcdf, zeta1, zeta1_t
 
 from conftest import sn_sample, seeded
 
@@ -281,3 +286,122 @@ class TestFitResultType:
         fit = fit_mle(data, THREE_PARAM)
         assert fit.loglik_at_opt == pytest.approx(loglik(fit.estimates, data, THREE_PARAM),
                                                   abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one-parameter fits against the bounded-Brent and brentq searches they replaced
+
+ONE_PARAM_ST4 = ModelSpec(family="st", dimension=1, fixed={"xi": 0.0, "omega": 1.0, "nu": 4.0})
+ORACLE_THR = 100.0
+
+
+def oracle_objective(data, spec, penalized):
+    """alpha -> minus the (penalized) shape-only log-likelihood."""
+    def negll(a):
+        return -loglik(DirectParams.scalar(0.0, 1.0, a, spec.fixed.get("nu")), data, spec)
+    if not penalized:
+        return negll
+    coeffs = resolve_penalty(spec)
+    return lambda a: negll(a) + q_value(coeffs, a * a)
+
+
+def oracle_brent(data, spec, penalized):
+    """(alpha, diverged) from the bounded Brent search on [-150, 150]."""
+    z = data.column(0)
+    if not penalized and (np.all(z > 0) or np.all(z < 0)):
+        return math.copysign(ORACLE_THR, z[0]), True
+    res = optimize.minimize_scalar(oracle_objective(data, spec, penalized),
+                                   bounds=(-ORACLE_THR - 50.0, ORACLE_THR + 50.0),
+                                   method="bounded", options=dict(xatol=1e-9))
+    a = float(res.x)
+    if not penalized and abs(a) > ORACLE_THR:
+        return math.copysign(ORACLE_THR, a), True
+    return a, False
+
+
+def oracle_sf_score(z, a):
+    return float(np.sum(z * zeta1(a * z))) + sn_m_exact(a)
+
+
+def oracle_brentq_sf(data):
+    """Modified-score root from geometric bracket expansion and brentq."""
+    z = data.column(0)
+    h0 = oracle_sf_score(z, 0.0)
+    if h0 == 0.0:
+        return 0.0
+    lo, hi = 0.0, math.copysign(1.0, h0)
+    while oracle_sf_score(z, hi) * h0 > 0:
+        lo, hi = hi, hi * 2.0
+    return float(optimize.brentq(lambda a: oracle_sf_score(z, a), min(lo, hi), max(lo, hi),
+                                 xtol=1e-10))
+
+
+def shape_weights(data, spec):
+    """(w, m): the shape-only log-likelihood is sum log F(alpha w), F = Phi or T(.; m)."""
+    z = data.column(0)
+    if spec.family == "sn":
+        return z, None
+    m = spec.fixed["nu"] + 1.0
+    return z * np.sqrt(m / (spec.fixed["nu"] + z * z)), m
+
+
+def shape_score(data, spec, a):
+    """Closed-form score of the shape-only log-likelihood, and the sum of its terms' sizes."""
+    w, m = shape_weights(data, spec)
+    terms = w * (zeta1(a * w) if m is None else zeta1_t(a * w, m))
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def penalized_shape_loglik(data, spec, alphas):
+    """Penalized shape-only log-likelihood at each of ``alphas``, up to a constant."""
+    w, m = shape_weights(data, spec)
+    u = np.multiply.outer(np.asarray(alphas, dtype=float), w)
+    ll = np.sum(special.log_ndtr(u) if m is None else t_logcdf(u, m), axis=-1)
+    c = resolve_penalty(spec)
+    return ll - c.c1 * np.log1p(c.c2 * np.asarray(alphas) ** 2)
+
+
+ORACLE_CASES = [(spec, n, alpha)
+                for spec in (ONE_PARAM, ONE_PARAM_ST4)
+                for n in (10, 20, 50, 1000)
+                for alpha in (0.0, 2.0, 5.0, 20.0)]
+
+
+@pytest.mark.parametrize("spec,n,alpha", ORACLE_CASES,
+                         ids=[f"{s.family}-n{n}-a{a:g}" for s, n, a in ORACLE_CASES])
+def test_one_param_fits_match_brent_oracle(spec, n, alpha):
+    grid = np.linspace(-150.0, 150.0, 1201)
+    for rep in range(3):
+        truth = DirectParams.scalar(0.0, 1.0, alpha, spec.fixed.get("nu"))
+        data = sample(truth, n, seeded(3303, n, int(alpha), rep))
+        for penalized, fit in ((False, fit_mle), (True, fit_mple)):
+            got = fit(data, spec)
+            a_new = float(got.estimates.alpha[0])
+            a_old, div_old = oracle_brent(data, spec, penalized)
+            assert got.diverged == div_old
+            assert abs(a_new - a_old) <= 1e-6 * max(1.0, abs(a_old))
+            if got.diverged:
+                continue
+            s, scale = shape_score(data, spec, a_new)
+            if penalized:
+                s -= q_prime(got.penalty, a_new)
+            assert abs(s) <= 1e-9 * (1.0 + scale)
+            if penalized:
+                at_fit = float(penalized_shape_loglik(data, spec, [a_new])[0])
+                on_grid = penalized_shape_loglik(data, spec, grid)
+                assert at_fit >= on_grid.max() - 1e-9 * abs(at_fit)
+        if spec.family == "sn":
+            sf = float(fit_sf_one_param(data, spec).estimates.alpha[0])
+            assert abs(sf - oracle_brentq_sf(data)) <= 1e-6 * max(1.0, abs(sf))
+            assert abs(oracle_sf_score(data.column(0), sf)) <= 1e-9 * n
+
+
+def test_newton_derivatives_match_central_differences():
+    # the one-parameter fits step with these slopes; a wrong one would only slow them
+    from penskew.estimators import _ShapeScore, _sn_m_and_slope
+    z = sample(DirectParams.scalar(0.0, 1.0, 3.0, 4.0), 80, seeded(3304)).column(0)
+    h = 1e-6
+    for f in (_ShapeScore(z, None), _ShapeScore(z, 4.0), _sn_m_and_slope):
+        for a in (-3.0, 0.5, 2.0, 7.0):
+            fd = (f(a + h)[0] - f(a - h)[0]) / (2 * h)
+            assert f(a)[1] == pytest.approx(fd, rel=1e-6, abs=1e-7)

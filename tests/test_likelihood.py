@@ -55,6 +55,25 @@ class TestLoglik:
         with pytest.raises(ValueError):
             loglik(DirectParams.scalar(0.5, 1.0, 1.0), data, spec)
 
+    @pytest.mark.parametrize("key,pinned,params,message", [
+        ("xi", 0.0, lambda eps: DirectParams.scalar(eps, 1.0, 1.0),
+         r"params\.xi=\[2\.e-09\] violates pinned xi=0\.0"),
+        ("omega", 1.0, lambda eps: DirectParams.scalar(0.0, 1.0 + eps, 1.0),
+         r"params\.omega=1\.000000002 violates pinned omega=1\.0"),
+        ("alpha", 1.0, lambda eps: DirectParams.scalar(0.0, 1.0, 1.0 + eps),
+         r"params\.alpha=\[1\.\] violates pinned alpha=1\.0"),
+        ("nu", 4.0, lambda eps: DirectParams.scalar(0.0, 1.0, 1.0, 4.0 + eps),
+         r"params\.nu=4\.000000002 violates pinned nu=4\.0"),
+    ], ids=["xi", "omega", "alpha", "nu"])
+    def test_pinned_component_tolerance_and_message(self, key, pinned, params, message):
+        # |difference| <= 1e-9 passes, 2e-9 is rejected with the component named
+        family = "st" if key == "nu" else "sn"
+        spec = ModelSpec(family=family, dimension=1, fixed={key: pinned})
+        data = Dataset(np.array([0.1, 0.2]))
+        loglik(params(5e-10), data, spec)
+        with pytest.raises(ValueError, match=message):
+            loglik(params(2e-9), data, spec)
+
     def test_skew_t_one_param_fast_path(self, rng):
         y = rng.standard_t(5, size=30)
         spec = ModelSpec(family="st", dimension=1, fixed={"xi": 0.0, "omega": 1.0, "nu": 5.0})

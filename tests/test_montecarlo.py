@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import penskew.montecarlo as montecarlo
 from penskew.distributions import DirectParams
 from penskew.montecarlo import (
     RateCurves,
@@ -71,6 +72,26 @@ class TestDeterminismAndSeeding:
         serial = run_study(three_param_config(replicates=30))
         parallel = run_study(three_param_config(replicates=30, workers=2))
         assert serial.to_csv_string() == parallel.to_csv_string()
+
+    def test_one_pool_serves_every_sample_size(self, monkeypatch):
+        pools = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        cfg = dict(true_params=DirectParams.scalar(0.0, 1.0, 5.0), sample_sizes=(20, 50, 100),
+                   replicates=24, base_seed=412, fixed={"xi": 0.0, "omega": 1.0},
+                   estimators=("MLE", "MPLE", "SF", "WBAR"), exclusion="common-finite")
+        serial = run_study(StudyConfig(**cfg))
+        assert pools == []
+        parallel = run_study(StudyConfig(**cfg, workers=2))
+        assert len(pools) == 1
+        assert parallel.to_csv_string() == serial.to_csv_string()
+        assert parallel.metadata["estimates"] == serial.metadata["estimates"]
+        assert parallel.metadata["diverged"] == serial.metadata["diverged"]
 
 
 @pytest.fixture(scope="module")
