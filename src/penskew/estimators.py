@@ -382,14 +382,17 @@ def _minimize(objective, x0, opts: FitOptions):
     return res, nit, stages
 
 
-def _shape_moment_alpha(z: np.ndarray) -> float:
-    """Shape-only moment estimate: match the skewness of standardized data ``z``."""
-    zz = z * z
-    g1z = float(np.dot(zz, z)) / max(float(zz.sum()) / len(z), 1e-12) ** 1.5 / len(z)
-    cz = math.cbrt(2.0 * min(max(g1z, -0.9), 0.9) / (4.0 - math.pi))
-    mzz = cz / math.sqrt(1.0 + cz * cz)
-    dz = min(max(mzz * math.sqrt(math.pi / 2.0), -0.995), 0.995)
-    return dz / math.sqrt(1.0 - dz * dz)
+def _shape_moment_alpha(z: np.ndarray) -> np.ndarray:
+    """Shape-only moment estimate: match the skewness of standardized data ``z``.
+
+    Works along axis 0, so a 2-D ``z`` gives one estimate per column and
+    a 1-D ``z`` gives a scalar.
+    """
+    g1z = np.mean(z**3, axis=0) / np.maximum(np.mean(z**2, axis=0), 1e-12) ** 1.5
+    cz = np.cbrt(2.0 * np.clip(g1z, -0.9, 0.9) / (4.0 - np.pi))
+    mzz = cz / np.sqrt(1.0 + cz * cz)
+    dz = np.clip(mzz * np.sqrt(np.pi / 2.0), -0.995, 0.995)
+    return dz / np.sqrt(1.0 - dz * dz)
 
 
 def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
@@ -421,8 +424,8 @@ def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
     if "alpha" in spec.fixed:
         alpha = fmap._fixed_alpha().copy()
     elif not fmap.free_xi and not fmap.free_scale:
-        z = (rows - xi) / omega
-        alpha = np.array([_shape_moment_alpha(z[:, j]) for j in range(d)])
+        # shape-only model: moment-match on the standardized data
+        alpha = _shape_moment_alpha((rows - xi) / omega)
     elif d == 1:
         alpha = delta / np.sqrt(1.0 - delta * delta)
     else:
@@ -566,7 +569,7 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, opts: FitOptions, penalized: 
         nfev = 1
         if (f_end < 0.0) if side > 0.0 else (f_end > 0.0):
             lo, hi = sorted((0.0, side * end))
-            a_hat, n_newton = _safeguarded_newton(f, lo, hi, _shape_moment_alpha(z))
+            a_hat, n_newton = _safeguarded_newton(f, lo, hi, float(_shape_moment_alpha(z)))
             nfev += n_newton
         elif penalized or f_end == 0.0:
             a_hat = side * end  # the maximum is at the end, or beyond it for the MPLE
@@ -751,7 +754,7 @@ def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None,
             root = hi
         else:
             a, b = (lo, hi) if lo < hi else (hi, lo)
-            root, n_newton = _safeguarded_newton(h, a, b, _shape_moment_alpha(z))
+            root, n_newton = _safeguarded_newton(h, a, b, float(_shape_moment_alpha(z)))
             nfev += n_newton
     est = DirectParams.scalar(float(spec.fixed["xi"]), float(spec.fixed["omega"]), root)
     return FitResult(method="SF", estimates=est, loglik_at_opt=loglik(est, data, spec),

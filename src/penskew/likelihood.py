@@ -74,7 +74,7 @@ class ModelSpec:
         if (self.family == "st") != params.is_skew_t:
             raise ValueError(f"family {self.family!r} inconsistent with params (nu={params.nu})")
         for key, value in self.fixed.items():
-            have = params.omega if key == "omega" else getattr(params, key)
+            have = getattr(params, key)
             if self.dimension == 1:
                 # one-element components: plain floats, same tolerance as allclose below
                 a, b = float(np.asarray(have).item()), float(np.asarray(value).item())
