@@ -23,7 +23,6 @@ from .distributions import (
     st_logpdf,
 )
 from .estimators import (
-    FitOptions,
     FitResult,
     fit_mle,
     fit_mple,
@@ -51,7 +50,6 @@ from .wbar import emit_w_scatter, fit_wbar, w_statistics
 __all__ = [
     "Dataset",
     "DirectParams",
-    "FitOptions",
     "FitResult",
     "ModelSpec",
     "PenaltyCoeffs",

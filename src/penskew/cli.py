@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import Dataset, DirectParams, sample
-from .estimators import FitOptions, fit_mle, fit_mple, fit_sf_one_param, stderr_from_penalized_info
+from .estimators import fit_mle, fit_mple, fit_sf_one_param, stderr_from_penalized_info
 from .likelihood import ModelSpec, profile_deviance
 from .montecarlo import StudyConfig, run_study
 from .penalty import sn_coeffs, st_coeffs, st_e2_approx, st_e_coeffs_exact, sn_e_coeffs
@@ -62,7 +62,6 @@ def _cmd_fit(args) -> int:
         penalty = st_coeffs(float(fixed["nu"]), mode=args.penalty)
     spec = ModelSpec(family=args.family, dimension=args.dim, fixed=fixed, penalty=penalty)
     data = Dataset.from_csv(args.csv)
-    opts = FitOptions(divergence_threshold=args.divergence_threshold)
     if args.estimator == "all":
         wanted = ["mle", "mple", "wbar"] + (["sf"] if spec.is_one_param else [])
     else:
@@ -70,17 +69,17 @@ def _cmd_fit(args) -> int:
     fits = {}
     mle = mple = None
     if "mle" in wanted or "wbar" in wanted:
-        mle = fit_mle(data, spec, opts)
+        mle = fit_mle(data, spec, divergence_threshold=args.divergence_threshold)
         if "mle" in wanted:
             fits["mle"] = mle
     if "mple" in wanted or "wbar" in wanted:
-        mple = fit_mple(data, spec, opts)
+        mple = fit_mple(data, spec, divergence_threshold=args.divergence_threshold)
         if args.stderr:
-            stderr_from_penalized_info(mple, data, spec, opts)
+            stderr_from_penalized_info(mple, data, spec)
         if "mple" in wanted:
             fits["mple"] = mple
     if "sf" in wanted:
-        fits["sf"] = fit_sf_one_param(data, spec, opts)
+        fits["sf"] = fit_sf_one_param(data, spec)
     if "wbar" in wanted:
         if mle.diverged:
             print("wbar unavailable: MLE diverged", file=sys.stderr)
@@ -190,7 +189,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_wscatter(args) -> int:
     seed = _ensure_seed(args.seed)
     points = emit_w_scatter(args.reps, args.n, args.alpha, seed,
-                            FitOptions(divergence_threshold=args.divergence_threshold))
+                            divergence_threshold=args.divergence_threshold)
     lines = ["W,Wp,branch"]
     for p in points:
         lines.append(f"{p.w_at_true:.10g},{p.wp_at_true:.10g},{p.branch}")

@@ -18,15 +18,13 @@ from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
-from scipy.linalg import solve_triangular
 
-from .distributions import Dataset, DirectParams, alpha_star
+from .distributions import Dataset, DirectParams, _mahalanobis_and_logdet, alpha_star
 from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, penalized_loglik
 from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
 from .specfun import QuadratureRule, _zeta1, expect_t, t_logcdf, zeta1_t
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "OptimizationError",
     "RootBracketError",
@@ -42,6 +40,11 @@ __all__ = [
 ]
 
 _BIG = 1e10
+_GTOL = 1e-6
+_MAXITER = 300
+_GRAD_STEP = 1e-6
+_HESSIAN_STEP = 1e-4
+_LOG_NU_BOUNDS = (np.log(0.1), np.log(1e6))
 
 
 class OptimizationError(RuntimeError):
@@ -60,17 +63,6 @@ class RootBracketError(RuntimeError):
     def __init__(self, message, lo, hi):
         super().__init__(f"{message}; searched [{lo}, {hi}]")
         self.interval = (lo, hi)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    divergence_threshold: float = 100.0
-    gtol: float = 1e-6
-    maxiter: int = 300
-    grad_step: float = 1e-6
-    hessian_step: float = 1e-4
-    nu_bounds: tuple = (0.1, 1e6)
-    trace: bool = False
 
 
 @dataclass
@@ -161,7 +153,7 @@ class _FreeMap:
         self.free_alpha = "alpha" not in spec.fixed
         self.free_nu = spec.family == "st" and "nu" not in spec.fixed
         d = self.d
-        self._tril = np.tril_indices(d)
+        self._tril = np.tril_indices(d) if d > 1 else None
         names = []
         if self.free_xi:
             names += [f"xi_{j+1}" for j in range(d)] if d > 1 else ["xi"]
@@ -288,7 +280,7 @@ class _FreeMap:
 
 
 def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
-                        penalty: Callable | None, opts: FitOptions) -> Callable:
+                        penalty: Callable | None) -> Callable:
     """Build the objective over free optimizer coordinates.
 
     ``penalty`` maps (alpha_star_sq, nu) to the penalty value, or None
@@ -296,7 +288,7 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     """
     y = data.column(0) if spec.dimension == 1 else None
     rows = data.rows
-    lo_lnu, hi_lnu = np.log(opts.nu_bounds[0]), np.log(opts.nu_bounds[1])
+    lo_lnu, hi_lnu = _LOG_NU_BOUNDS
 
     def objective(x):
         try:
@@ -318,14 +310,11 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
             diag = np.diag(omega_mat)
             if not np.all(np.isfinite(diag)) or np.any(diag <= 1e-12) or np.any(diag > 1e12):
                 return _BIG
+            v = rows - xi
             try:
-                chol = np.linalg.cholesky(omega_mat)
+                qx, logdet = _mahalanobis_and_logdet(v, omega_mat)
             except np.linalg.LinAlgError:
                 return _BIG
-            v = rows - xi
-            sol = solve_triangular(chol, v.T, lower=True)
-            qx = np.sum(sol * sol, axis=0)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
             omega_diag = np.sqrt(diag)
             u = (v / omega_diag) @ alpha
             if spec.family == "sn":
@@ -349,21 +338,29 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     return objective
 
 
-def _central_grad(f, x, step):
+def _central_grad(f, x):
     g = np.empty(len(x))
     for i in range(len(x)):
-        h = step * max(1.0, abs(x[i]))
+        h = _GRAD_STEP * max(1.0, abs(x[i]))
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
 
 
-def _minimize(objective, x0, opts: FitOptions):
-    """Quasi-Newton pass on central-difference gradients, simplex fallback."""
-    res = optimize.minimize(objective, x0, method="BFGS",
-                            jac=lambda x: _central_grad(objective, x, opts.grad_step),
-                            options=dict(maxiter=opts.maxiter, gtol=opts.gtol))
+def _bfgs(objective, x0):
+    return optimize.minimize(objective, x0, method="BFGS",
+                             jac=lambda x: _central_grad(objective, x),
+                             options=dict(maxiter=_MAXITER, gtol=_GTOL))
+
+
+def _minimize(objective, x0):
+    """Quasi-Newton pass on central-difference gradients, simplex fallback.
+
+    Returns the result, the total iteration count and the stages that
+    ran, each as (name, iterations, objective value).
+    """
+    res = _bfgs(objective, x0)
     nit = res.nit
     stages = [("bfgs", int(res.nit), float(res.fun))]
     if not res.success and res.status not in (0, 2):
@@ -373,9 +370,7 @@ def _minimize(objective, x0, opts: FitOptions):
         nit += nm.nit
         stages.append(("nelder-mead", int(nm.nit), float(nm.fun)))
         if nm.fun < res.fun:
-            res2 = optimize.minimize(objective, nm.x, method="BFGS",
-                                     jac=lambda x: _central_grad(objective, x, opts.grad_step),
-                                     options=dict(maxiter=opts.maxiter, gtol=opts.gtol))
+            res2 = _bfgs(objective, nm.x)
             nit += res2.nit
             stages.append(("bfgs", int(res2.nit), float(res2.fun)))
             res = res2 if res2.fun <= nm.fun else nm
@@ -526,7 +521,7 @@ def _one_param_negll(data: Dataset, spec: ModelSpec):
     return lambda a: -_st1_loglik(y, xi, omega, a, nu)
 
 
-def _fit_one_param(data: Dataset, spec: ModelSpec, opts: FitOptions, penalized: bool):
+def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
     """Shape-only MLE or MPLE: safeguarded Newton from the moment estimate.
 
     The score at zero picks the side the (penalized) likelihood rises
@@ -535,7 +530,6 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, opts: FitOptions, penalized: 
     whose score keeps its sign at the threshold has diverged.
     """
     negll = _one_param_negll(data, spec)
-    thr = opts.divergence_threshold
     xi = float(spec.fixed["xi"]); omega = float(spec.fixed["omega"])
     nu = spec.fixed.get("nu")
 
@@ -589,30 +583,31 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, opts: FitOptions, penalized: 
 # public fits
 
 
-def fit_mle(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> FitResult:
+def fit_mle(data: Dataset, spec: ModelSpec, *,
+            divergence_threshold: float = 100.0) -> FitResult:
     """Maximum likelihood fit with divergence detection.
 
-    A fit whose shape component exceeds the divergence threshold at
-    convergence is flagged and reported clamped at the threshold (with
-    the other free parameters re-maximized there), never at infinity.
+    A fit whose largest |alpha| component exceeds the keyword-only
+    ``divergence_threshold`` at convergence is flagged and reported
+    clamped at the threshold (with the other free parameters
+    re-maximized there), never at infinity.
     """
-    opts = opts or FitOptions()
+    thr = divergence_threshold
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
-        return _fit_one_param(data, spec, opts, penalized=False)
-    objective = _neg_loglik_factory(data, spec, fmap, None, opts)
+        return _fit_one_param(data, spec, thr, penalized=False)
+    objective = _neg_loglik_factory(data, spec, fmap, None)
     start = _mom_start(data, spec, fmap)
-    res, nit, stages = _minimize(objective, fmap.pack(start), opts)
+    res, nit, stages = _minimize(objective, fmap.pack(start))
     params = fmap.unpack(res.x)
-    thr = opts.divergence_threshold
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
         pinned_spec = replace(spec, fixed={**spec.fixed, "alpha": clamped})
         pin_map = _FreeMap(pinned_spec)
         if pin_map.n_free:
-            obj2 = _neg_loglik_factory(data, pinned_spec, pin_map, None, opts)
-            res2, nit2, stages2 = _minimize(obj2, pin_map.pack(params), opts)
+            obj2 = _neg_loglik_factory(data, pinned_spec, pin_map, None)
+            res2, nit2, stages2 = _minimize(obj2, pin_map.pack(params))
             params = pin_map.unpack(res2.x)
             ll = -float(res2.fun)
             nit += nit2
@@ -622,12 +617,12 @@ def fit_mle(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> F
             params = replace_alpha(params, clamped)
         return FitResult(method="MLE", estimates=params, loglik_at_opt=ll,
                          diverged=True, converged=True, iterations=nit,
-                         optimizer_trace=stages if opts.trace else None)
+                         optimizer_trace=stages)
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("likelihood optimization failed to find a finite optimum")
     return FitResult(method="MLE", estimates=params, loglik_at_opt=-float(res.fun),
                      converged=bool(res.success or res.status == 2), iterations=nit,
-                     optimizer_trace=stages if opts.trace else None)
+                     optimizer_trace=stages)
 
 
 def replace_alpha(params: DirectParams, alpha) -> DirectParams:
@@ -635,13 +630,19 @@ def replace_alpha(params: DirectParams, alpha) -> DirectParams:
                         alpha=np.asarray(alpha, dtype=float), nu=params.nu)
 
 
-def fit_mple(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> FitResult:
-    """Maximum penalized likelihood fit; always interior, never diverges."""
-    opts = opts or FitOptions()
+def fit_mple(data: Dataset, spec: ModelSpec, *,
+             divergence_threshold: float = 100.0) -> FitResult:
+    """Maximum penalized likelihood fit; always interior, never diverges.
+
+    A largest |alpha| beyond the keyword-only ``divergence_threshold``
+    means the search ran away from a bad start, so it restarts from zero
+    shape and keeps the better optimum.  The shape-only search runs up to
+    the threshold plus 50.
+    """
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
-        return _fit_one_param(data, spec, opts, penalized=True)
+        return _fit_one_param(data, spec, divergence_threshold, penalized=True)
     if spec.penalty is not None or spec.family == "sn" or "nu" in spec.fixed:
         coeffs = resolve_penalty(spec)
         penalty_fn = lambda a2, nu: q_value(coeffs, a2)
@@ -650,14 +651,14 @@ def fit_mple(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> 
         # free nu: closed-form coefficients re-resolved at each candidate nu
         penalty_fn = lambda a2, nu: q_value(st_coeffs(nu, "approx"), a2)
         final_coeffs = lambda params: st_coeffs(params.nu, "approx")
-    objective = _neg_loglik_factory(data, spec, fmap, penalty_fn, opts)
+    objective = _neg_loglik_factory(data, spec, fmap, penalty_fn)
     start = _mom_start(data, spec, fmap)
-    res, nit, stages = _minimize(objective, fmap.pack(start), opts)
+    res, nit, stages = _minimize(objective, fmap.pack(start))
     params = fmap.unpack(res.x)
-    if fmap.free_alpha and np.max(np.abs(params.alpha)) > opts.divergence_threshold:
+    if fmap.free_alpha and np.max(np.abs(params.alpha)) > divergence_threshold:
         # interior maximum is guaranteed; a runaway means a bad start
         null = replace_alpha(start, np.zeros(spec.dimension))
-        res2, nit2, stages2 = _minimize(objective, fmap.pack(null), opts)
+        res2, nit2, stages2 = _minimize(objective, fmap.pack(null))
         nit += nit2
         stages += stages2
         if res2.fun <= res.fun:
@@ -668,8 +669,7 @@ def fit_mple(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> 
     pll = -float(res.fun)
     return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
                      penalized_loglik_at_opt=pll, converged=bool(res.success or res.status == 2),
-                     iterations=nit, penalty=used,
-                     optimizer_trace=stages if opts.trace else None)
+                     iterations=nit, penalty=used, optimizer_trace=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -714,15 +714,13 @@ def sn_m_exact(alpha: float, rule: QuadratureRule = _GH64) -> float:
     return _sn_m_and_slope(a, rule)[0]
 
 
-def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None,
-                     opts: FitOptions | None = None) -> FitResult:
+def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
     """Root of the modified score l'(alpha) + M(alpha) = 0, one-parameter model.
 
     The root always exists and is finite.  Doubling steps away from zero
     bracket it, and safeguarded Newton steps on the analytic modified
     score and its derivative, started from the moment estimate, locate it.
     """
-    opts = opts or FitOptions()
     if spec is None:
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
     if not (spec.family == "sn" and spec.is_one_param):
@@ -796,8 +794,7 @@ def st_m_exact(alpha: float, nu: float, tol: float = 1e-7) -> float:
 # standard errors
 
 
-def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec,
-                               opts: FitOptions | None = None) -> np.ndarray:
+def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -> np.ndarray:
     """Standard errors from the penalized observed information at the optimum.
 
     The Hessian of the penalized log-likelihood is differenced centrally
@@ -805,7 +802,6 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec,
     definite, otherwise :class:`InformationMatrixError` is raised (no
     silent regularization).  The result is also attached to ``fit``.
     """
-    opts = opts or FitOptions()
     if fit.diverged:
         raise DivergedMLEError("standard errors are undefined for a diverged fit")
     if not fit.converged:
@@ -822,7 +818,7 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec,
 
     x0 = fmap.direct_pack(fit.estimates)
     k = len(x0)
-    h = opts.hessian_step * np.maximum(1.0, np.abs(x0))
+    h = _HESSIAN_STEP * np.maximum(1.0, np.abs(x0))
     hess = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):

@@ -18,7 +18,7 @@ from io import StringIO
 import numpy as np
 
 from .distributions import Dataset, DirectParams, sample
-from .estimators import FitOptions, _FreeMap, fit_mle, fit_mple, fit_sf_one_param
+from .estimators import _FreeMap, fit_mle, fit_mple, fit_sf_one_param
 from .likelihood import ModelSpec
 from .wbar import fit_wbar
 
@@ -87,9 +87,6 @@ class StudyConfig:
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(family=self.family, dimension=self.dimension, fixed=self.fixed)
-
-    def fit_options(self) -> FitOptions:
-        return FitOptions(divergence_threshold=self.divergence_threshold)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -225,7 +222,6 @@ def _needed_fits(estimators):
 
 def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
     spec = config.model_spec()
-    opts = config.fit_options()
     fmap = _FreeMap(spec)
     data = sample(config.true_params, n,
                   np.random.SeedSequence(config.base_seed, spawn_key=(n, rep)))
@@ -234,20 +230,20 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
     mle = mple = None
     if "MLE" in need:
         try:
-            mle = fit_mle(data, spec, opts)
+            mle = fit_mle(data, spec, divergence_threshold=config.divergence_threshold)
             out["MLE"] = fmap.direct_pack(mle.estimates)
             out["diverged"] = mle.diverged
         except Exception as exc:  # fit failures are counted, not fatal
             out["errors"]["MLE"] = repr(exc)
     if "MPLE" in need:
         try:
-            mple = fit_mple(data, spec, opts)
+            mple = fit_mple(data, spec, divergence_threshold=config.divergence_threshold)
             out["MPLE"] = fmap.direct_pack(mple.estimates)
         except Exception as exc:
             out["errors"]["MPLE"] = repr(exc)
     if "SF" in need:
         try:
-            sf = fit_sf_one_param(data, spec, opts)
+            sf = fit_sf_one_param(data, spec)
             out["SF"] = fmap.direct_pack(sf.estimates)
         except Exception as exc:
             out["errors"]["SF"] = repr(exc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Dataset, DirectParams, alpha_star, sample
-from .estimators import DivergedMLEError, FitOptions, FitResult, fit_mle, fit_mple
+from .estimators import DivergedMLEError, FitResult, fit_mle, fit_mple
 from .likelihood import ModelSpec, loglik, penalized_loglik
 from .penalty import q_value
 
@@ -215,23 +215,23 @@ def _bisect_crossing(g) -> tuple[float, int]:
     return float(t_root), len(flips)
 
 
-def emit_w_scatter(n_reps: int, n: int, alpha_true: float, seed,
-                   opts: FitOptions | None = None) -> list[ScatterPoint]:
+def emit_w_scatter(n_reps: int, n: int, alpha_true: float, seed, *,
+                   divergence_threshold: float = 100.0) -> list[ScatterPoint]:
     """Per-replicate (W, W_p) at the true shape value, tagged by error signs.
 
-    One-parameter model; replicates whose MLE diverged are dropped, so
-    the output holds ``n_reps`` minus the number of divergent samples.
+    One-parameter model; replicates whose MLE diverged (|alpha| beyond
+    the keyword-only ``divergence_threshold``) are dropped, so the output
+    holds ``n_reps`` minus the number of divergent samples.
     """
-    opts = opts or FitOptions()
     spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
     truth = DirectParams.scalar(0.0, 1.0, alpha_true)
     points = []
     for rep in range(int(n_reps)):
         data = sample(truth, n, np.random.SeedSequence(seed, spawn_key=(n, rep)))
-        mle = fit_mle(data, spec, opts)
+        mle = fit_mle(data, spec, divergence_threshold=divergence_threshold)
         if mle.diverged:
             continue
-        mple = fit_mple(data, spec, opts)
+        mple = fit_mple(data, spec, divergence_threshold=divergence_threshold)
         w, wp = w_statistics(truth, data, spec, mle, mple)
         e_hat = float(mle.estimates.alpha[0]) - alpha_true
         e_tilde = float(mple.estimates.alpha[0]) - alpha_true

@@ -7,7 +7,6 @@ from scipy import optimize, special
 from penskew.distributions import Dataset, DirectParams, sample
 from penskew.estimators import (
     DivergedMLEError,
-    FitOptions,
     FitResult,
     fit_mle,
     fit_mple,
@@ -405,3 +404,90 @@ def test_newton_derivatives_match_central_differences():
         for a in (-3.0, 0.5, 2.0, 7.0):
             fd = (f(a + h)[0] - f(a - h)[0]) / (2 * h)
             assert f(a)[1] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the divergence threshold is the one settable fit value
+
+THRESHOLD = 8.0
+# (spec, n, rep): replicate ``rep`` of SeedSequence(411, spawn_key=(n, rep))
+# from alpha = 5 has a finite MLE with THRESHOLD < |alpha-hat| < 100
+BETWEEN = {
+    "3p": (THREE_PARAM, 30, 0),    # alpha-hat 14.7
+    "1p": (ONE_PARAM, 20, 14),     # alpha-hat 33.4
+}
+
+
+def between_sample(key):
+    spec, n, rep = BETWEEN[key]
+    return sample(DirectParams.scalar(0.0, 1.0, 5.0), n, seeded(411, n, rep)), spec
+
+
+class TestDivergenceThreshold:
+    @pytest.mark.parametrize("key", sorted(BETWEEN))
+    def test_fit_mle_flags_and_clamps_at_threshold(self, key):
+        data, spec = between_sample(key)
+        default = fit_mle(data, spec)
+        a_hat = float(default.estimates.alpha[0])
+        assert not default.diverged and THRESHOLD < abs(a_hat) < 100.0
+        fit = fit_mle(data, spec, divergence_threshold=THRESHOLD)
+        assert fit.diverged
+        assert float(fit.estimates.alpha[0]) == pytest.approx(math.copysign(THRESHOLD, a_hat),
+                                                              rel=1e-12)
+        mple = fit_mple(data, spec, divergence_threshold=THRESHOLD)
+        assert not mple.diverged and np.isfinite(float(mple.estimates.alpha[0]))
+
+    @pytest.mark.parametrize("key", sorted(BETWEEN))
+    def test_run_study_passes_threshold(self, key):
+        from penskew.montecarlo import StudyConfig, run_study
+        spec, n, rep = BETWEEN[key]
+        cfg = dict(true_params=DirectParams.scalar(0.0, 1.0, 5.0), sample_sizes=(n,),
+                   replicates=rep + 1, base_seed=411, fixed=spec.fixed, estimators=("MLE",))
+        low = run_study(StudyConfig(**cfg, divergence_threshold=THRESHOLD))
+        high = run_study(StudyConfig(**cfg))
+        direct = [fit_mle(sample(DirectParams.scalar(0.0, 1.0, 5.0), n, seeded(411, n, r)), spec,
+                          divergence_threshold=THRESHOLD).diverged for r in range(rep + 1)]
+        assert list(low.metadata["diverged"][n]) == direct
+        assert direct[rep] and not high.metadata["diverged"][n][rep]
+
+    @pytest.mark.parametrize("key", sorted(BETWEEN))
+    def test_cli_fit_exits_two_below_estimate(self, key, tmp_path):
+        from penskew.cli import main
+        data, spec = between_sample(key)
+        csv = tmp_path / "between.csv"
+        data.to_csv(csv)
+        fix = [arg for name, value in spec.fixed.items() for arg in ("--fix", f"{name}={value}")]
+        args = ["fit", str(csv), "--estimator", "mle", *fix, "--out", str(tmp_path / "fit.json")]
+        assert main(args) == 0
+        assert main(args + ["--divergence-threshold", str(THRESHOLD)]) == 2
+
+    @pytest.mark.parametrize("fit", [fit_mle, fit_mple])
+    def test_positional_threshold_is_rejected(self, fit):
+        data, spec = between_sample("3p")
+        with pytest.raises(TypeError):
+            fit(data, spec, THRESHOLD)
+
+
+class TestOptimizerTrace:
+    @staticmethod
+    def check_stages(fit):
+        assert isinstance(fit.optimizer_trace, list) and fit.optimizer_trace
+        assert fit.optimizer_trace[0][0] == "bfgs"
+        assert sum(nit for _, nit, _ in fit.optimizer_trace) == fit.iterations
+
+    def test_three_param_mle(self):
+        fit = fit_mle(sn_sample(3.0, 100, seed=seeded(16, 0)), THREE_PARAM)
+        assert not fit.diverged
+        self.check_stages(fit)
+
+    def test_bivariate_mple(self):
+        truth = DirectParams(xi=np.zeros(2), omega_mat=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                             alpha=np.array([3.0, -1.0]))
+        spec = ModelSpec(family="sn", dimension=2)
+        self.check_stages(fit_mple(sample(truth, 200, seeded(16, 1)), spec))
+
+    def test_diverged_mle_records_the_pinned_refit(self):
+        fit = fit_mle(all_positive_sample(5.0, 50, 2), THREE_PARAM)
+        assert fit.diverged
+        self.check_stages(fit)
+        assert len(fit.optimizer_trace) >= 2  # the re-fit at the clamped shape ran too
