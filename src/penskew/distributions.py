@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, linalg, special
+from scipy import linalg, special
 
 from .specfun import t_logcdf, zeta0
 
@@ -256,10 +256,19 @@ def st_logpdf(x, params: DirectParams):
     if not params.is_skew_t:
         raise ValueError("params carry no nu; use sn_logpdf")
     arr, squeeze = _check_x(x, params.d)
-    d, nu = params.d, params.nu
     v = arr - params.xi
     qx, logdet = _mahalanobis_and_logdet(v, params.omega_mat)
     u = (v / params.omega_diag) @ params.alpha
+    out = _st_log_terms(qx, logdet, u, params.d, params.nu)
+    return float(out[0]) if squeeze else out
+
+
+def _st_log_terms(qx, logdet, u, d, nu):
+    """Per-observation skew-t log densities from raw arrays.
+
+    ``qx`` holds the squared Mahalanobis distances, ``logdet`` is
+    log det Omega and ``u`` holds alpha' omega^-1 (x - xi).
+    """
     log_td = (
         special.gammaln((nu + d) / 2.0)
         - special.gammaln(nu / 2.0)
@@ -267,8 +276,7 @@ def st_logpdf(x, params: DirectParams):
         - 0.5 * logdet
         - 0.5 * (nu + d) * np.log1p(qx / nu)
     )
-    out = _LOG2 + log_td + t_logcdf(u * np.sqrt((d + nu) / (qx + nu)), nu + d)
-    return float(out[0]) if squeeze else out
+    return _LOG2 + log_td + t_logcdf(u * np.sqrt((d + nu) / (qx + nu)), nu + d)
 
 
 def _delta_vector(params: DirectParams) -> np.ndarray:
@@ -331,20 +339,15 @@ def skewness_gamma1(alpha: float) -> float:
 
 
 def prob_negative(alpha: float) -> float:
-    """P{Z < 0} for Z ~ SN(0, 1, alpha), by quadrature of the density.
+    """P{Z < 0} = 1/2 - arctan(alpha)/pi for Z ~ SN(0, 1, alpha).
 
-    Equals 1/2 - arctan(alpha)/pi: the mass below zero shrinks as alpha
-    grows, vanishing in the half-normal limit.
+    The mass below zero shrinks as alpha grows, vanishing in the
+    half-normal limit.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-
-    def integrand(u):
-        return np.exp(zeta0(-alpha * u) - 0.5 * u * u - 0.5 * _LOG2PI)
-
-    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-12, limit=200)
-    return float(value)
+    return float(0.5 - np.arctan(alpha) / np.pi)
 
 
 def prob_divergent_mle(n: int, alpha: float) -> float:
@@ -356,10 +359,7 @@ def prob_divergent_mle(n: int, alpha: float) -> float:
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    p = 0.5 - np.arctan(alpha) / np.pi
+    p = prob_negative(alpha)
     return float(p**n + (1.0 - p) ** n)
 
 

@@ -19,10 +19,11 @@ from typing import Callable
 import numpy as np
 from scipy import optimize, special
 
-from .distributions import Dataset, DirectParams, _mahalanobis_and_logdet, alpha_star
-from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, penalized_loglik
+from .distributions import (Dataset, DirectParams, _mahalanobis_and_logdet, _st_log_terms,
+                            alpha_star)
+from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik
 from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
-from .specfun import QuadratureRule, _zeta1, expect_t, t_logcdf, zeta1_t
+from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
 
 __all__ = [
     "FitResult",
@@ -115,13 +116,13 @@ class FitResult:
         return out
 
 
-def resolve_penalty(spec: ModelSpec, nu: float | None = None, mode: str | None = None) -> PenaltyCoeffs:
+def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
     """Penalty coefficients a fit should use under ``spec``.
 
     Explicit spec.penalty wins.  Otherwise the skew-normal coefficients,
     or the skew-t ones at the pinned (or supplied) nu: quadrature-exact
     when nu is fixed, closed-form approximate when the optimizer is
-    moving nu (override with ``mode``).
+    moving nu.
     """
     if spec.penalty is not None:
         return spec.penalty
@@ -130,7 +131,7 @@ def resolve_penalty(spec: ModelSpec, nu: float | None = None, mode: str | None =
     pinned = spec.fixed.get("nu", nu)
     if pinned is None:
         raise ValueError("cannot resolve a skew-t penalty without nu")
-    return st_coeffs(float(pinned), mode or ("exact" if "nu" in spec.fixed else "approx"))
+    return st_coeffs(float(pinned), "exact" if "nu" in spec.fixed else "approx")
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +322,7 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
                 ll = float(np.sum(-0.5 * spec.dimension * np.log(2 * np.pi) - 0.5 * logdet
                                   - 0.5 * qx + np.log(2.0) + special.log_ndtr(u)))
             else:
-                dd = spec.dimension
-                log_td = (special.gammaln((nu + dd) / 2.0) - special.gammaln(nu / 2.0)
-                          - 0.5 * dd * np.log(nu * np.pi) - 0.5 * logdet
-                          - 0.5 * (nu + dd) * np.log1p(qx / nu))
-                ll = float(np.sum(np.log(2.0) + log_td
-                                  + t_logcdf(u * np.sqrt((dd + nu) / (qx + nu)), nu + dd)))
+                ll = float(np.sum(_st_log_terms(qx, logdet, u, spec.dimension, nu)))
             w = alpha / omega_diag
             a2 = float(w @ omega_mat @ w)
         if not np.isfinite(ll):
@@ -511,16 +507,6 @@ def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int]
     return x, _NEWTON_MAXEV
 
 
-def _one_param_negll(data: Dataset, spec: ModelSpec):
-    y = data.column(0)
-    xi = float(spec.fixed["xi"])
-    omega = float(spec.fixed["omega"])
-    if spec.family == "sn":
-        return lambda a: -_sn1_loglik(y, xi, omega, a)
-    nu = float(spec.fixed["nu"])
-    return lambda a: -_st1_loglik(y, xi, omega, a, nu)
-
-
 def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
     """Shape-only MLE or MPLE: safeguarded Newton from the moment estimate.
 
@@ -529,13 +515,12 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
     for the MLE and to the threshold plus 50 for the MPLE.  An MLE
     whose score keeps its sign at the threshold has diverged.
     """
-    negll = _one_param_negll(data, spec)
     xi = float(spec.fixed["xi"]); omega = float(spec.fixed["omega"])
     nu = spec.fixed.get("nu")
 
     def diverged(a_rep, nfev):
         est = DirectParams.scalar(xi, omega, a_rep, nu)
-        return FitResult(method="MLE", estimates=est, loglik_at_opt=-negll(a_rep),
+        return FitResult(method="MLE", estimates=est, loglik_at_opt=loglik(est, data, spec),
                          diverged=True, converged=True, iterations=nfev)
 
     z = (data.column(0) - xi) / omega
@@ -570,7 +555,7 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
         else:
             return diverged(side * thr, nfev)
     est = DirectParams.scalar(xi, omega, a_hat, nu)
-    ll = -negll(a_hat)
+    ll = loglik(est, data, spec)
     if penalized:
         return FitResult(method="MPLE", estimates=est, loglik_at_opt=ll,
                          penalized_loglik_at_opt=ll - q_value(coeffs, a_hat * a_hat),
@@ -613,8 +598,8 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
             nit += nit2
             stages += stages2
         else:
-            ll = -float(objective(fmap.pack(replace_alpha(params, clamped))))
-            params = replace_alpha(params, clamped)
+            params = replace(params, alpha=clamped)
+            ll = -float(objective(fmap.pack(params)))
         return FitResult(method="MLE", estimates=params, loglik_at_opt=ll,
                          diverged=True, converged=True, iterations=nit,
                          optimizer_trace=stages)
@@ -623,11 +608,6 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     return FitResult(method="MLE", estimates=params, loglik_at_opt=-float(res.fun),
                      converged=bool(res.success or res.status == 2), iterations=nit,
                      optimizer_trace=stages)
-
-
-def replace_alpha(params: DirectParams, alpha) -> DirectParams:
-    return DirectParams(xi=params.xi, omega_mat=params.omega_mat,
-                        alpha=np.asarray(alpha, dtype=float), nu=params.nu)
 
 
 def fit_mple(data: Dataset, spec: ModelSpec, *,
@@ -657,7 +637,7 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > divergence_threshold:
         # interior maximum is guaranteed; a runaway means a bad start
-        null = replace_alpha(start, np.zeros(spec.dimension))
+        null = replace(start, alpha=np.zeros(spec.dimension))
         res2, nit2, stages2 = _minimize(objective, fmap.pack(null))
         nit += nit2
         stages += stages2
@@ -675,10 +655,10 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
 # ---------------------------------------------------------------------------
 # modified-score estimator (one-parameter skew-normal)
 
-_GH64 = QuadratureRule.gauss_hermite(64)
+_GH_NODES, _GH_WEIGHTS = _gauss_hermite(64)
 
 
-def _sn_m_and_slope(a: float, rule: QuadratureRule = _GH64) -> tuple[float, float]:
+def _sn_m_and_slope(a: float) -> tuple[float, float]:
     """M(alpha) of :func:`sn_m_exact` and its derivative in alpha.
 
     With M = A(alpha) R(delta), A = -alpha / (2 (1 + alpha^2)) and
@@ -687,11 +667,11 @@ def _sn_m_and_slope(a: float, rule: QuadratureRule = _GH64) -> tuple[float, floa
     and R' follows from zeta1'(x) = -zeta1(x) (x + zeta1(x)).
     """
     s = 1.0 + a * a
-    x = rule.nodes
+    x = _GH_NODES
     u = (a / math.sqrt(s)) * x
     r = _zeta1(u)
     dr = -r * (u + r)
-    w2 = rule.weights * x * x
+    w2 = _GH_WEIGHTS * x * x
     w4 = w2 * x * x
     e2, e4 = float(np.dot(w2, r)), float(np.dot(w4, r))
     de2, de4 = float(np.dot(w2 * x, dr)), float(np.dot(w4 * x, dr))
@@ -701,17 +681,17 @@ def _sn_m_and_slope(a: float, rule: QuadratureRule = _GH64) -> tuple[float, floa
     return amp * ratio, -(1.0 - a * a) / (2.0 * s * s) * ratio + amp * d_ratio
 
 
-def sn_m_exact(alpha: float, rule: QuadratureRule = _GH64) -> float:
+def sn_m_exact(alpha: float) -> float:
     """Score correction M(alpha) = -(alpha/2) a4/a2 for the scalar skew-normal.
 
     The moment ratio is computed from the standard-normal rewrite
     a_p(alpha) = sqrt(2/pi) (1+alpha^2)^(-(p+1)/2) E{X^p zeta1(delta X)},
-    so a single Gauss-Hermite rule serves every alpha.
+    so a single 64-point Gauss-Hermite rule serves every alpha.
     """
     a = float(alpha)
     if a == 0.0:
         return 0.0
-    return _sn_m_and_slope(a, rule)[0]
+    return _sn_m_and_slope(a)[0]
 
 
 def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
@@ -759,7 +739,7 @@ def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
                      converged=True, iterations=nfev)
 
 
-def st_m_exact(alpha: float, nu: float, tol: float = 1e-7) -> float:
+def st_m_exact(alpha: float, nu: float) -> float:
     """Score correction M(alpha) for the shape-only skew-t model.
 
     Evaluates the two change-of-variable expectations over t(nu+1) and
@@ -783,8 +763,8 @@ def st_m_exact(alpha: float, nu: float, tol: float = 1e-7) -> float:
         v = np.sqrt((nu + 1.0) / (nu + 3.0 + one_minus_d2 * x * x))
         return x**4 * v * zeta1_t(delta * x * v, nu + 1.0)
 
-    e1 = expect_t(integrand1, nu + 1.0, tol=tol)
-    e3 = expect_t(integrand3, nu + 3.0, tol=tol)
+    e1 = expect_t(integrand1, nu + 1.0)
+    e3 = expect_t(integrand3, nu + 3.0)
     ratio = math.sqrt((nu + 1.0) / (nu + 3.0)) * ((nu + 1.0) / (nu + 2.0)) ** 2 \
         * ((nu + 1.0) / (nu + 3.0))
     return -a / (2.0 * (1.0 + a * a)) * ratio * e3 / e1

@@ -165,19 +165,12 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     else:
         t_root, multiplicity = _bisect_crossing(g)
     theta_bar = interpolate_params(theta_hat, theta_tilde, t_root)
-    pen_spec = spec if spec.penalty is not None else _with_penalty(spec, mple)
     ll = loglik(theta_bar, data, spec)
     diag = WbarDiagnostics(
         q_of_y=q_y,
         r_of_y=r_y,
         segment_parameter=float(t_root),
-        sign_checks={
-            "W_at_tilde": float(2.0 * (mle.loglik_at_opt - mple.loglik_at_opt)),
-            "Wp_at_hat": float(2.0 * (mple.penalized_loglik_at_opt
-                                      - penalized_loglik(theta_hat, data, pen_spec))),
-            "Wp_minus_W_at_tilde": g1,
-            "Wp_minus_W_at_hat": g0,
-        },
+        sign_checks={"Wp_minus_W_at_tilde": g1, "Wp_minus_W_at_hat": g0},
         root_multiplicity=multiplicity,
         used_boundary_mle=bool(mle.diverged),
     )

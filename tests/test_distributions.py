@@ -234,10 +234,14 @@ class TestProbDivergent:
 
     def test_prob_negative_sign_convention(self):
         # right-skewed variables put less than half their mass below zero
-        assert prob_negative(5.0) == pytest.approx(0.5 - np.arctan(5.0) / np.pi, abs=1e-10)
         assert prob_negative(5.0) < 0.5
-        assert prob_negative(-5.0) == pytest.approx(0.5 + np.arctan(5.0) / np.pi, abs=1e-10)
-        assert prob_negative(0.0) == pytest.approx(0.5, abs=1e-12)
+        assert prob_negative(0.0) == 0.5
+        for alpha in (5.0, -5.0, 0.3):
+            # oracle: quadrature of the SN(0, 1, alpha) density over (-inf, 0)
+            mass, _ = integrate.quad(
+                lambda u: np.exp(sn_logpdf(-u, DirectParams.scalar(0.0, 1.0, alpha))),
+                0.0, np.inf, epsabs=1e-12, limit=200)
+            assert prob_negative(alpha) == pytest.approx(mass, abs=1e-10)
 
 
 class TestCanonicalTransform:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from penskew.distributions import Dataset, DirectParams, sample
+from penskew.distributions import Dataset, DirectParams, sample, st_logpdf
 from penskew.estimators import (
     DivergedMLEError,
     FitResult,
+    _FreeMap,
+    _neg_loglik_factory,
     fit_mle,
     fit_mple,
     fit_sf_one_param,
@@ -279,6 +281,16 @@ class TestFitResultType:
         assert d["method"] == "MPLE"
         assert "omega" in d["estimates"] and "penalty" in d
         assert d["penalty"]["provenance"] == "SN_EXACT"
+
+    def test_bivariate_skew_t_objective_is_the_logpdf_sum(self):
+        spec = ModelSpec(family="st", dimension=2)
+        truth = DirectParams(xi=[0.3, -0.2], omega_mat=[[1.5, 0.4], [0.4, 0.8]],
+                             alpha=[2.0, -1.0], nu=5.0)
+        data = sample(truth, 300, seeded(16, 0))
+        fmap = _FreeMap(spec)
+        x = fmap.pack(truth)
+        objective = _neg_loglik_factory(data, spec, fmap, None)
+        assert objective(x) == -float(np.sum(st_logpdf(data.rows, fmap.unpack(x))))
 
     def test_loglik_consistent_with_public_evaluator(self):
         data = sn_sample(2.0, 80, seed=seeded(15, 0))

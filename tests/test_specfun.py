@@ -3,7 +3,8 @@ import pytest
 from scipy import integrate
 
 from penskew.specfun import (
-    QuadratureRule,
+    QuadratureError,
+    _gauss_hermite,
     expect_normal,
     expect_t,
     t_cdf,
@@ -133,27 +134,26 @@ class TestZeta1T:
         assert np.all(zeta1_t(np.linspace(-60, 60, 121), 1.5) > 0)
 
 
-class TestQuadratureRule:
+class TestGaussHermite:
     def test_gauss_hermite_unit_mass(self):
-        rule = QuadratureRule.gauss_hermite(64)
-        assert len(rule.nodes) >= 32
-        assert np.all(rule.weights > 0)
-        assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_t_interval_unit_mass(self):
-        rule = QuadratureRule.t_interval(3.7)
-        assert len(rule.nodes) >= 32
-        assert np.all(rule.weights > 0)
-        assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0]), weights=np.array([-1.0]), kind="gauss-hermite")
+        nodes, weights = _gauss_hermite(64)
+        assert len(nodes) == len(weights) == 64
+        assert np.all(weights > 0)
+        assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-10)
+        # cached and shared between callers, so not writable
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 class TestExpectations:
     def test_normal_second_moment(self):
         assert expect_normal(lambda x: x * x) == pytest.approx(1.0, abs=1e-10)
+
+    def test_normal_ladder_failure_reports_last_change(self):
+        # |x| is not smooth at 0, so the Gauss-Hermite ladder never settles
+        with pytest.raises(QuadratureError) as err:
+            expect_normal(np.abs)
+        assert err.value.value == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-2)
+        assert err.value.achieved > 1e-9
 
     def test_t_second_moment(self):
         assert expect_t(lambda x: x * x, 5.0) == pytest.approx(5.0 / 3.0, abs=1e-7)

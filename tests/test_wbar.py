@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import penskew.likelihood
+import penskew.wbar
 from penskew.distributions import Dataset, DirectParams, alpha_star, sample
 from penskew.estimators import DivergedMLEError, fit_mle, fit_mple
-from penskew.likelihood import ModelSpec, penalized_loglik
+from penskew.likelihood import ModelSpec, loglik, penalized_loglik
 from penskew.penalty import q_value
 from penskew.wbar import (WbarBracketError, emit_w_scatter, fit_wbar, interpolate_params,
                           w_statistics)
@@ -196,6 +198,19 @@ class TestRootSearch:
         monkeypatch.setattr(DirectParams, "__post_init__", counting)
         fit_wbar(data, spec, mle, mple)
         assert len(built) <= 3
+
+    def test_evaluates_the_likelihood_once_at_theta_bar(self, class_fits, monkeypatch):
+        _, data, spec, mle, mple = class_fits
+        at = []
+
+        def counting(params, data_, spec_):
+            at.append(params)
+            return loglik(params, data_, spec_)
+
+        monkeypatch.setattr(penskew.wbar, "loglik", counting)
+        monkeypatch.setattr(penskew.likelihood, "loglik", counting)
+        wbar = fit_wbar(data, spec, mle, mple)
+        assert len(at) == 1 and at[0] is wbar.estimates
 
     def test_bracket_violation_names_the_mple(self):
         # a seeded d = 2 sample whose MPLE is not the penalized maximum
