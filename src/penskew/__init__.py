@@ -27,10 +27,11 @@ from .estimators import (
     fit_mle,
     fit_mple,
     fit_sf_one_param,
+    profile_deviance,
     st_m_exact,
     stderr_from_penalized_info,
 )
-from .likelihood import ModelSpec, loglik, penalized_loglik, profile_deviance
+from .likelihood import ModelSpec, loglik, penalized_loglik
 from .montecarlo import RateCurves, StudyConfig, StudySummary, rate_curves, run_study
 from .penalty import (
     PenaltyCoeffs,

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .distributions import Dataset, DirectParams, sample
-from .estimators import fit_mle, fit_mple, fit_sf_one_param, stderr_from_penalized_info
-from .likelihood import ModelSpec, profile_deviance
+from .estimators import (fit_mle, fit_mple, fit_sf_one_param, profile_deviance,
+                         stderr_from_penalized_info)
+from .likelihood import ModelSpec
 from .montecarlo import StudyConfig, run_study
 from .penalty import sn_coeffs, st_coeffs, st_e2_approx, st_e_coeffs_exact, sn_e_coeffs
 from .wbar import emit_w_scatter, fit_wbar

@@ -1,6 +1,6 @@
 """Fitting: plain and penalized maximum likelihood, the one-parameter
-modified-score estimator, and standard errors from the penalized
-observed information.
+modified-score estimator, the profile deviance in the shape, and
+standard errors from the penalized observed information.
 
 Optimization runs in transformed coordinates (log scale, log nu, raw
 shape) from a method-of-moments start: a quasi-Newton pass on central
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize, special
@@ -31,9 +31,11 @@ __all__ = [
     "RootBracketError",
     "InformationMatrixError",
     "DivergedMLEError",
+    "ProfilePoint",
     "fit_mle",
     "fit_mple",
     "fit_sf_one_param",
+    "profile_deviance",
     "st_m_exact",
     "sn_m_exact",
     "stderr_from_penalized_info",
@@ -141,34 +143,40 @@ def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
 class _FreeMap:
     """Maps between free-parameter vectors and DirectParams.
 
-    Optimizer coordinates use log omega (d = 1), a Cholesky factor with
-    log diagonal (d > 1), and log nu; ``direct`` coordinates are
-    (xi, omega | vech Omega, alpha, nu) for information matrices.
+    A vector holds the free blocks (xi, scale, alpha, nu) in that order,
+    leaving out what ``spec`` pins.  The two coordinate systems code only
+    the scale and nu blocks differently.  Optimizer coordinates use
+    log omega (d = 1), a Cholesky factor with log diagonal (d > 1), and
+    log nu; ``direct`` coordinates are (xi, omega | vech Omega, alpha, nu)
+    for information matrices.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.d = spec.dimension
+        d = self.d = spec.dimension
         self.free_xi = "xi" not in spec.fixed
         self.free_scale = "omega" not in spec.fixed and "omega_mat" not in spec.fixed
         self.free_alpha = "alpha" not in spec.fixed
         self.free_nu = spec.family == "st" and "nu" not in spec.fixed
-        d = self.d
         self._tril = np.tril_indices(d) if d > 1 else None
-        names = []
-        if self.free_xi:
-            names += [f"xi_{j+1}" for j in range(d)] if d > 1 else ["xi"]
-        if self.free_scale:
-            if d == 1:
-                names += ["omega"]
-            else:
-                names += [f"omega_{i+1}{j+1}" for i, j in zip(*self._tril)]
-        if self.free_alpha:
-            names += [f"alpha_{j+1}" for j in range(d)] if d > 1 else ["alpha"]
-        if self.free_nu:
-            names += ["nu"]
+        labels = (lambda s: [s]) if d == 1 else (lambda s: [f"{s}_{j+1}" for j in range(d)])
+        scale_names = ["omega"] if d == 1 else [f"omega_{i+1}{j+1}" for i, j in zip(*self._tril)]
+        names, slices = [], []
+        for free, block in ((self.free_xi, labels("xi")), (self.free_scale, scale_names),
+                            (self.free_alpha, labels("alpha")), (self.free_nu, ["nu"])):
+            slices.append(slice(len(names), len(names) + len(block)) if free else None)
+            names += block if free else []
         self.direct_names = names
         self.n_free = len(names)
+        self._xi, self._scale, self._alpha, _ = slices  # nu, when free, is x[-1]
+        # scale codecs (encode DirectParams -> block, decode block -> Omega)
+        if d == 1:
+            self._log_scale = (lambda p: [math.log(p.omega)],
+                               lambda b: np.array([[math.exp(2.0 * b[0])]]))
+            self._raw_scale = (lambda p: [p.omega], lambda b: np.array([[float(b[0]) ** 2]]))
+        else:
+            self._log_scale = (self._log_cholesky, self._from_log_cholesky)
+            self._raw_scale = (lambda p: p.omega_mat[self._tril], self._from_vech)
 
     def _fixed_xi(self):
         return np.broadcast_to(np.asarray(self.spec.fixed["xi"], dtype=float), (self.d,))
@@ -181,99 +189,54 @@ class _FreeMap:
     def _fixed_alpha(self):
         return np.broadcast_to(np.asarray(self.spec.fixed["alpha"], dtype=float), (self.d,))
 
-    def pack(self, params: DirectParams) -> np.ndarray:
+    def _log_cholesky(self, params: DirectParams) -> np.ndarray:
+        chol = np.linalg.cholesky(params.omega_mat)
+        chol[np.diag_indices(self.d)] = np.log(np.diag(chol))
+        return chol[self._tril]
+
+    def _from_log_cholesky(self, block: np.ndarray) -> np.ndarray:
+        chol = np.zeros((self.d, self.d))
+        chol[self._tril] = block
+        chol[np.diag_indices(self.d)] = np.exp(np.diag(chol).copy())
+        return chol @ chol.T
+
+    def _from_vech(self, block: np.ndarray) -> np.ndarray:
+        omega_mat = np.zeros((self.d, self.d))
+        omega_mat[self._tril] = block
+        return omega_mat + np.tril(omega_mat, -1).T
+
+    def _pack(self, params: DirectParams, scale, nu) -> np.ndarray:
+        """Free vector of ``params``; ``scale`` and ``nu`` encode those blocks."""
         out = []
         if self.free_xi:
             out.extend(params.xi)
         if self.free_scale:
-            if self.d == 1:
-                out.append(math.log(params.omega))
-            else:
-                chol = np.linalg.cholesky(params.omega_mat)
-                chol[np.diag_indices(self.d)] = np.log(np.diag(chol))
-                out.extend(chol[self._tril])
+            out.extend(scale(params))
         if self.free_alpha:
             out.extend(params.alpha)
         if self.free_nu:
-            out.append(math.log(params.nu))
+            out.append(nu(params.nu))
         return np.asarray(out, dtype=float)
+
+    def _split(self, x: np.ndarray, scale, nu) -> tuple:
+        """(xi, omega_mat, alpha, nu) of free vector ``x``; ``scale`` and ``nu`` decode."""
+        xi = np.asarray(x[self._xi], dtype=float) if self.free_xi else self._fixed_xi()
+        omega_mat = scale(x[self._scale]) if self.free_scale else self._fixed_omega_mat()
+        alpha = np.asarray(x[self._alpha], dtype=float) if self.free_alpha else self._fixed_alpha()
+        nu_value = nu(x[-1]) if self.free_nu else self.spec.fixed.get("nu")
+        return xi, omega_mat, alpha, (float(nu_value) if nu_value is not None else None)
+
+    def pack(self, params: DirectParams) -> np.ndarray:
+        return self._pack(params, self._log_scale[0], math.log)
 
     def unpack(self, x: np.ndarray) -> DirectParams:
-        xi, omega_mat, alpha, nu = self._components(x)
-        return DirectParams(xi=xi, omega_mat=omega_mat, alpha=alpha, nu=nu)
-
-    def _components(self, x):
-        pos = 0
-        d = self.d
-        if self.free_xi:
-            xi = np.asarray(x[pos:pos + d], dtype=float)
-            pos += d
-        else:
-            xi = self._fixed_xi()
-        if self.free_scale:
-            if d == 1:
-                omega_mat = np.array([[math.exp(2.0 * x[pos])]])
-                pos += 1
-            else:
-                k = len(self._tril[0])
-                chol = np.zeros((d, d))
-                chol[self._tril] = x[pos:pos + k]
-                diag = np.exp(np.diag(chol).copy())
-                chol[np.diag_indices(d)] = diag
-                omega_mat = chol @ chol.T
-                pos += k
-        else:
-            omega_mat = self._fixed_omega_mat()
-        if self.free_alpha:
-            alpha = np.asarray(x[pos:pos + d], dtype=float)
-            pos += d
-        else:
-            alpha = self._fixed_alpha()
-        nu = math.exp(x[pos]) if self.free_nu else self.spec.fixed.get("nu")
-        return xi, omega_mat, alpha, (float(nu) if nu is not None else None)
-
-    # direct coordinates (for observed-information matrices)
+        return DirectParams(*self._split(x, self._log_scale[1], math.exp))
 
     def direct_pack(self, params: DirectParams) -> np.ndarray:
-        out = []
-        if self.free_xi:
-            out.extend(params.xi)
-        if self.free_scale:
-            if self.d == 1:
-                out.append(params.omega)
-            else:
-                out.extend(params.omega_mat[self._tril])
-        if self.free_alpha:
-            out.extend(params.alpha)
-        if self.free_nu:
-            out.append(params.nu)
-        return np.asarray(out, dtype=float)
+        return self._pack(params, self._raw_scale[0], float)
 
     def direct_unpack(self, x: np.ndarray) -> DirectParams:
-        pos = 0
-        d = self.d
-        if self.free_xi:
-            xi = np.asarray(x[pos:pos + d], dtype=float); pos += d
-        else:
-            xi = self._fixed_xi()
-        if self.free_scale:
-            if d == 1:
-                omega_mat = np.array([[float(x[pos]) ** 2]]); pos += 1
-            else:
-                k = len(self._tril[0])
-                omega_mat = np.zeros((d, d))
-                omega_mat[self._tril] = x[pos:pos + k]
-                omega_mat = omega_mat + np.tril(omega_mat, -1).T
-                pos += k
-        else:
-            omega_mat = self._fixed_omega_mat()
-        if self.free_alpha:
-            alpha = np.asarray(x[pos:pos + d], dtype=float); pos += d
-        else:
-            alpha = self._fixed_alpha()
-        nu = float(x[pos]) if self.free_nu else self.spec.fixed.get("nu")
-        return DirectParams(xi=xi, omega_mat=omega_mat, alpha=alpha,
-                            nu=(float(nu) if nu is not None else None))
+        return DirectParams(*self._split(x, self._raw_scale[1], float))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +253,11 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     y = data.column(0) if spec.dimension == 1 else None
     rows = data.rows
     lo_lnu, hi_lnu = _LOG_NU_BOUNDS
+    log_scale = fmap._log_scale[1]
 
     def objective(x):
         try:
-            xi, omega_mat, alpha, nu = fmap._components(x)
+            xi, omega_mat, alpha, nu = fmap._split(x, log_scale, math.exp)
         except (OverflowError, ValueError):
             return _BIG
         if fmap.free_nu and not (lo_lnu <= math.log(nu) <= hi_lnu):
@@ -371,6 +335,21 @@ def _minimize(objective, x0):
             stages.append(("bfgs", int(res2.nit), float(res2.fun)))
             res = res2 if res2.fun <= nm.fun else nm
     return res, nit, stages
+
+
+def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams):
+    """Plain-likelihood maximum over the free parameters of ``spec`` other than alpha.
+
+    Alpha is pinned at ``alpha`` and the search starts from ``start``
+    (its alpha is ignored).  Returns the maximizer, the maximum, whether
+    the optimizer converged, and the iterations and stages of
+    :func:`_minimize`.
+    """
+    pinned = replace(spec, fixed={**spec.fixed, "alpha": alpha})
+    fmap = _FreeMap(pinned)
+    res, nit, stages = _minimize(_neg_loglik_factory(data, pinned, fmap, None), fmap.pack(start))
+    return (fmap.unpack(res.x), -float(res.fun), bool(res.success or res.status == 2),
+            nit, stages)
 
 
 def _shape_moment_alpha(z: np.ndarray) -> np.ndarray:
@@ -588,13 +567,8 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
-        pinned_spec = replace(spec, fixed={**spec.fixed, "alpha": clamped})
-        pin_map = _FreeMap(pinned_spec)
-        if pin_map.n_free:
-            obj2 = _neg_loglik_factory(data, pinned_spec, pin_map, None)
-            res2, nit2, stages2 = _minimize(obj2, pin_map.pack(params))
-            params = pin_map.unpack(res2.x)
-            ll = -float(res2.fun)
+        if fmap.free_xi or fmap.free_scale or fmap.free_nu:
+            params, ll, _, nit2, stages2 = _fit_alpha_pinned(data, spec, clamped, params)
             nit += nit2
             stages += stages2
         else:
@@ -650,6 +624,62 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
     return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
                      penalized_loglik_at_opt=pll, converged=bool(res.success or res.status == 2),
                      iterations=nit, penalty=used, optimizer_trace=stages)
+
+
+# ---------------------------------------------------------------------------
+# profile deviance
+
+
+@dataclass(frozen=True)
+class ProfilePoint:
+    alpha: float
+    deviance: float
+    profile_loglik: float
+    converged: bool
+
+
+def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec) -> list[ProfilePoint]:
+    """Deviance profile D(alpha) = 2 {max-over-grid l*(.) - l*(alpha)}.
+
+    Each grid point maximizes over the nuisance (xi, omega) with alpha
+    pinned, by the same quasi-Newton search (simplex fallback) that
+    re-fits a clamped divergent MLE, warm-started from its predecessor;
+    a bounded Brent search between the neighbours of the best grid point
+    pins the normalizing maximum.  Nonconvergent inner fits are flagged
+    per point rather than aborting the sweep.
+    """
+    if spec.dimension != 1:
+        raise ValueError("profile deviance is implemented for d = 1")
+    if "xi" in spec.fixed or "omega" in spec.fixed:
+        raise ValueError("profile deviance needs xi and omega free")
+    if spec.family == "st" and "nu" not in spec.fixed:
+        raise ValueError("profile deviance over alpha needs nu pinned in the skew-t family")
+    grid = [float(a) for a in alpha_grid]
+    if not grid:
+        raise ValueError("alpha_grid must be nonempty")
+    y = data.column(0)
+    start = DirectParams.scalar(y.mean(), y.std() if y.std() > 0 else 1.0, 0.0,
+                                spec.fixed.get("nu"))
+    values, oks, starts = [], [], []
+    for a in grid:
+        start, val, ok, _, _ = _fit_alpha_pinned(data, spec, a, start)
+        values.append(val)
+        oks.append(ok)
+        starts.append(start)
+    # refine the maximum locally so D is normalized by the true profile peak
+    i_best = int(np.argmax(values))
+    lo = grid[max(i_best - 1, 0)]
+    hi = grid[min(i_best + 1, len(grid) - 1)]
+    l_max = values[i_best]
+    if hi > lo:
+        warm = starts[i_best]
+        res = optimize.minimize_scalar(
+            lambda a: -_fit_alpha_pinned(data, spec, a, warm)[1],
+            bounds=(lo, hi), method="bounded", options=dict(xatol=1e-7),
+        )
+        l_max = max(l_max, -res.fun)
+    return [ProfilePoint(alpha=a, deviance=2.0 * (l_max - v), profile_loglik=v, converged=ok)
+            for a, v, ok in zip(grid, values, oks)]
 
 
 # ---------------------------------------------------------------------------

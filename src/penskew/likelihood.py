@@ -1,28 +1,27 @@
-"""Log-likelihoods, penalized log-likelihoods, and profile deviance.
+"""Model specifications, log-likelihoods and penalized log-likelihoods.
 
+Evaluation only; the fits that maximize these live in ``estimators``.
 All code consumes log densities only; tail-heavy samples keep every
-term finite.  A fast scalar path covers d = 1, which is where profile
-grids and simulation studies spend their time.
+term finite.  A fast scalar path covers d = 1, which is where fits and
+simulation studies spend their time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .distributions import Dataset, DirectParams, alpha_star, sn_logpdf, st_logpdf
 from .penalty import PenaltyCoeffs, q_value
-from .specfun import t_logcdf, zeta0
+from .specfun import t_logcdf
 
 __all__ = [
     "ModelSpec",
-    "ProfilePoint",
     "loglik",
     "penalized_loglik",
-    "profile_deviance",
     "score_proportionality_check",
 ]
 
@@ -131,72 +130,6 @@ def penalized_loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> fl
     return loglik(params, data, spec) - q_value(spec.penalty, alpha_star(params) ** 2)
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    alpha: float
-    deviance: float
-    profile_loglik: float
-    converged: bool
-
-
-def _profile_value(y, alpha, spec: ModelSpec, start: np.ndarray):
-    """Maximize the d=1 likelihood over (xi, log omega) with alpha pinned."""
-    nu = float(spec.fixed["nu"]) if spec.family == "st" else None
-
-    def nll(q):
-        omega = np.exp(q[1])
-        if not np.isfinite(omega) or omega <= 0 or abs(q[1]) > 12:
-            return 1e10
-        if nu is None:
-            return -_sn1_loglik(y, q[0], omega, alpha)
-        return -_st1_loglik(y, q[0], omega, alpha, nu)
-
-    res = optimize.minimize(nll, start, method="Nelder-Mead",
-                            options=dict(maxiter=400, xatol=1e-8, fatol=1e-10))
-    return -res.fun, res.x, bool(res.success)
-
-
-def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec) -> list[ProfilePoint]:
-    """Deviance profile D(alpha) = 2 {max-over-grid l*(.) - l*(alpha)}.
-
-    Each grid point maximizes over the nuisance (xi, omega), warm-started
-    from its predecessor; a local refinement around the best grid point
-    pins the normalizing maximum.  Nonconvergent inner fits are flagged
-    per point rather than aborting the sweep.
-    """
-    if spec.dimension != 1:
-        raise ValueError("profile deviance is implemented for d = 1")
-    if "xi" in spec.fixed or "omega" in spec.fixed:
-        raise ValueError("profile deviance needs xi and omega free")
-    if spec.family == "st" and "nu" not in spec.fixed:
-        raise ValueError("profile deviance over alpha needs nu pinned in the skew-t family")
-    grid = [float(a) for a in alpha_grid]
-    if not grid:
-        raise ValueError("alpha_grid must be nonempty")
-    y = data.column(0)
-    start = np.array([y.mean(), np.log(y.std() if y.std() > 0 else 1.0)])
-    values, oks, starts = [], [], []
-    for a in grid:
-        val, start, ok = _profile_value(y, a, spec, start)
-        values.append(val)
-        oks.append(ok)
-        starts.append(start.copy())
-    # refine the maximum locally so D is normalized by the true profile peak
-    i_best = int(np.argmax(values))
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, len(grid) - 1)]
-    l_max = values[i_best]
-    if hi > lo:
-        warm = starts[i_best]
-        res = optimize.minimize_scalar(
-            lambda a: -_profile_value(y, a, spec, warm)[0],
-            bounds=(lo, hi), method="bounded", options=dict(xatol=1e-7),
-        )
-        l_max = max(l_max, -res.fun)
-    return [ProfilePoint(alpha=a, deviance=2.0 * (l_max - v), profile_loglik=v, converged=ok)
-            for a, v, ok in zip(grid, values, oks)]
-
-
 def score_proportionality_check(data: Dataset, spec: ModelSpec, step: float = 1e-5) -> float:
     """Cosine between the per-observation location and shape scores at alpha = 0.
 
@@ -213,8 +146,8 @@ def score_proportionality_check(data: Dataset, spec: ModelSpec, step: float = 1e
     alpha0 = float(spec.fixed.get("alpha", 0.0))
 
     def per_obs(xi, omega, alpha):
-        z = (y - xi) / omega
-        return -0.5 * z * z - 0.5 * _LOG2PI - np.log(omega) + zeta0(alpha * z)
+        # 2-D rows keep one value per observation, also when n = 1
+        return sn_logpdf(data.rows, DirectParams.scalar(xi, omega, alpha))
 
     h_xi = step * max(1.0, abs(xi0))
     u_xi = (per_obs(xi0 + h_xi, omega0, alpha0) - per_obs(xi0 - h_xi, omega0, alpha0)) / (2 * h_xi)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import Dataset, DirectParams, alpha_star, sample
 from .estimators import DivergedMLEError, FitResult, fit_mle, fit_mple
-from .likelihood import ModelSpec, loglik, penalized_loglik
+from .likelihood import ModelSpec, loglik
 from .penalty import q_value
 
 __all__ = [
@@ -27,6 +27,10 @@ __all__ = [
     "emit_w_scatter",
     "interpolate_params",
 ]
+
+# a wrong-signed bracket end whose gap |g|/2 is within this fraction of
+# max(1, |l(theta-hat)|) is a tie at rounding level, not a violation
+_TIE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,17 +87,13 @@ def w_statistics(theta: DirectParams, data: Dataset, spec: ModelSpec,
         raise DivergedMLEError("W is undefined when the MLE diverged")
     if not mple.converged or mple.penalized_loglik_at_opt is None:
         raise ValueError("need a converged penalized fit")
-    pen_spec = spec if spec.penalty is not None else _with_penalty(spec, mple)
-    w = 2.0 * (mle.loglik_at_opt - loglik(theta, data, spec))
-    wp = 2.0 * (mple.penalized_loglik_at_opt - penalized_loglik(theta, data, pen_spec))
-    return float(w), float(wp)
-
-
-def _with_penalty(spec: ModelSpec, mple: FitResult) -> ModelSpec:
-    if mple.penalty is None:
+    coeffs = spec.penalty if spec.penalty is not None else mple.penalty
+    if coeffs is None:
         raise ValueError("penalized fit carries no penalty coefficients")
-    return ModelSpec(family=spec.family, dimension=spec.dimension,
-                     fixed=spec.fixed, penalty=mple.penalty)
+    ll = loglik(theta, data, spec)
+    w = 2.0 * (mle.loglik_at_opt - ll)
+    wp = 2.0 * (mple.penalized_loglik_at_opt - (ll - q_value(coeffs, alpha_star(theta) ** 2)))
+    return float(w), float(wp)
 
 
 class WbarBracketError(ValueError):
@@ -114,6 +114,11 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     so the crossing is where alpha*^2(t) meets the ellipsoid value
     r(y) = (exp(q/c1) - 1)/c2.  Both ends are checked first: g(0) > 0 > g(1)
     must hold, or ``WbarBracketError`` names the fit that is not a maximum.
+    An end of the wrong sign whose gap |g|/2 is at most
+    1e-10 max(1, |l(theta-hat)|) is a tie at rounding level, not a
+    violation: W = W_p holds there, so a tie at the MPLE end (the two
+    log-likelihoods agree) returns the MPLE, and one at the MLE end
+    returns the MLE.
 
     For d = 1, alpha*^2 = alpha^2 and alpha is linear in t, so the root is
     the closed form t = (alpha-hat - sign(alpha-hat) sqrt(r)) / (alpha-hat - alpha-tilde),
@@ -148,20 +153,27 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
         return 2.0 * (q_value(coeffs, _segment_alpha_star_sq(theta_hat, theta_tilde, t)) - q_y)
 
     g0, g1 = g(0.0), g(1.0)
-    if not (g0 > 0.0 > g1):
-        found = []
-        if not g0 > 0.0:
-            found.append("the MPLE is not the penalized maximum: with the MPLE's penalty, "
-                         f"l_p at the MLE exceeds l_p at the MPLE by {-g0 / 2:.3g}")
-        if not g1 < 0.0:
-            found.append("the MLE is not the maximum: "
-                         f"l at the MPLE exceeds l at the MLE by {g1 / 2:.3g}")
-        raise WbarBracketError(f"bracket violation: g(0)={g0:.3e}, g(1)={g1:.3e}; "
-                               + "; ".join(found))
-    if theta_hat.d == 1:
+    tie = 2.0 * _TIE_RTOL * max(1.0, abs(mle.loglik_at_opt))
+    tie0 = not g0 > 0.0 and abs(g0) <= tie
+    tie1 = not g1 < 0.0 and abs(g1) <= tie
+    found = []
+    if not (g0 > 0.0 or tie0):
+        found.append("the MPLE is not the penalized maximum: with the MPLE's penalty, "
+                     f"l_p at the MLE exceeds l_p at the MPLE by {-g0 / 2:.3g}")
+    if not (g1 < 0.0 or tie1):
+        found.append("the MLE is not the maximum: "
+                     f"l at the MPLE exceeds l at the MLE by {g1 / 2:.3g}")
+    if found:
+        raise WbarBracketError(f"bracket violation: g(0)={g0:.3e}, g(1)={g1:.3e}, beyond the "
+                               f"tie tolerance {tie / 2:.3g}; " + "; ".join(found))
+    multiplicity = 1
+    if tie1:
+        t_root = 1.0  # the closed form's r(y) < 0 here would give NaN
+    elif tie0:
+        t_root = 0.0
+    elif theta_hat.d == 1:
         a_hat, a_tilde = float(theta_hat.alpha[0]), float(theta_tilde.alpha[0])
         t_root = (a_hat - np.copysign(np.sqrt(r_y), a_hat)) / (a_hat - a_tilde)
-        multiplicity = 1
     else:
         t_root, multiplicity = _bisect_crossing(g)
     theta_bar = interpolate_params(theta_hat, theta_tilde, t_root)

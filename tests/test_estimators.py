@@ -268,6 +268,57 @@ class TestStderr:
         assert np.all(se > 0) and np.all(np.isfinite(se))
 
 
+FREE_MAP_SN1 = DirectParams.scalar(0.3, 1.7, -2.2)
+FREE_MAP_ST1 = DirectParams.scalar(0.3, 1.7, -2.2, nu=4.5)
+FREE_MAP_SN2 = DirectParams(xi=[0.3, -0.2], omega_mat=[[1.5, 0.4], [0.4, 0.8]], alpha=[2.0, -1.0])
+FREE_MAP_ST2 = DirectParams(xi=[0.3, -0.2], omega_mat=[[1.5, 0.4], [0.4, 0.8]], alpha=[2.0, -1.0],
+                            nu=5.0)
+FREE_MAP_CLASSES = {
+    "1p": (FREE_MAP_SN1, ModelSpec(fixed={"xi": 0.3, "omega": 1.7})),
+    "3p": (FREE_MAP_SN1, THREE_PARAM),
+    "st_pin": (FREE_MAP_ST1, ModelSpec(family="st", fixed={"nu": 4.5})),
+    "st_free": (FREE_MAP_ST1, ModelSpec(family="st")),
+    "d2_sn": (FREE_MAP_SN2, ModelSpec(dimension=2)),
+    "d2_st": (FREE_MAP_ST2, ModelSpec(family="st", dimension=2)),
+    "xi_pinned": (FREE_MAP_SN1, ModelSpec(fixed={"xi": 0.3})),
+    "omega_pinned": (FREE_MAP_SN1, ModelSpec(fixed={"omega": 1.7})),
+    "xi_omega_pinned": (FREE_MAP_SN2, ModelSpec(dimension=2, fixed={
+        "xi": FREE_MAP_SN2.xi, "omega_mat": FREE_MAP_SN2.omega_mat})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_MAP_CLASSES))
+def test_free_map_round_trips(name):
+    truth, spec = FREE_MAP_CLASSES[name]
+    fmap = _FreeMap(spec)
+    x, xd = fmap.pack(truth), fmap.direct_pack(truth)
+    assert len(fmap.direct_names) == fmap.n_free == len(x) == len(xd)
+    assert np.array_equal(fmap.direct_pack(fmap.direct_unpack(xd)), xd)
+    for back in (fmap.unpack(x), fmap.direct_unpack(xd)):
+        # log, exp and sqrt round, so the parameter side agrees to a few ulps
+        for key in ("xi", "omega_mat", "alpha"):
+            np.testing.assert_allclose(getattr(back, key), getattr(truth, key), rtol=1e-14)
+        if truth.nu is None:
+            assert back.nu is None
+        else:
+            assert back.nu == pytest.approx(truth.nu, rel=1e-14)
+        # pinned components come back as pinned, bit for bit
+        if "xi" in spec.fixed:
+            assert np.array_equal(back.xi, truth.xi)
+        if "omega" in spec.fixed or "omega_mat" in spec.fixed:
+            assert np.array_equal(back.omega_mat, truth.omega_mat)
+        if "nu" in spec.fixed:
+            assert back.nu == spec.fixed["nu"]
+    if fmap.free_scale and spec.dimension == 1:
+        # each system decodes its own coordinate: exp(2x) and x**2, not through the other
+        k = fmap.direct_names.index("omega")
+        assert fmap.unpack(x).omega_mat[0, 0] == math.exp(2.0 * x[k])
+        assert fmap.direct_unpack(xd).omega_mat[0, 0] == float(xd[k]) ** 2
+    if fmap.free_nu:
+        assert fmap.unpack(x).nu == math.exp(x[-1])
+        assert fmap.direct_unpack(xd).nu == xd[-1]
+
+
 class TestFitResultType:
     def test_only_mle_may_diverge(self):
         with pytest.raises(ValueError):

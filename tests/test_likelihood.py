@@ -3,12 +3,11 @@ import pytest
 from scipy import stats
 
 from penskew.distributions import Dataset, DirectParams, sample
-from penskew.estimators import fit_mle
+from penskew.estimators import fit_mle, profile_deviance
 from penskew.likelihood import (
     ModelSpec,
     loglik,
     penalized_loglik,
-    profile_deviance,
     score_proportionality_check,
 )
 from penskew.penalty import PenaltyCoeffs, q_value, sn_coeffs
@@ -206,6 +205,16 @@ class TestProfileDeviance:
             d0 = next(p.deviance for p in points if p.alpha == 0.0)
             hits += d0 < crit
         assert hits / reps >= 0.90
+
+    @pytest.mark.parametrize("family, fixed, nu", [("sn", {}, None), ("st", {"nu": 4.0}, 4.0)])
+    def test_points_are_the_pinned_alpha_fits(self, family, fixed, nu):
+        spec = ModelSpec(family=family, dimension=1, fixed=fixed)
+        data = sample(DirectParams.scalar(0.3, 1.4, 3.0, nu), 80, np.random.SeedSequence(505))
+        for p in profile_deviance(np.linspace(-1.0, 8.0, 10), data, spec):
+            pinned = ModelSpec(family=family, dimension=1, fixed={**fixed, "alpha": p.alpha})
+            assert p.converged
+            assert p.profile_loglik == pytest.approx(fit_mle(data, pinned).loglik_at_opt,
+                                                     rel=0, abs=1e-9)
 
     def test_rejects_pinned_nuisance(self):
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})

@@ -110,6 +110,31 @@ class TestWStatistics:
         with pytest.raises(DivergedMLEError):
             w_statistics(mple.estimates, data, ONE_PARAM, mle, mple)
 
+    def test_evaluates_the_likelihood_once(self, class_fits, monkeypatch):
+        _, data, spec, mle, mple = class_fits
+        theta = interpolate_params(mle.estimates, mple.estimates, 0.3)
+        at = []
+
+        def counting(params, data_, spec_):
+            at.append(params)
+            return loglik(params, data_, spec_)
+
+        monkeypatch.setattr(penskew.wbar, "loglik", counting)
+        monkeypatch.setattr(penskew.likelihood, "loglik", counting)
+        w, wp = w_statistics(theta, data, spec, mle, mple)
+        assert len(at) == 1
+        monkeypatch.undo()
+        # bit for bit the definitions, with the MPLE's penalty
+        pen_spec = dataclasses.replace(spec, penalty=mple.penalty)
+        assert w == 2.0 * (mle.loglik_at_opt - loglik(theta, data, spec))
+        assert wp == 2.0 * (mple.penalized_loglik_at_opt - penalized_loglik(theta, data, pen_spec))
+
+    def test_rejects_a_fit_without_penalty(self, finite_fits):
+        data, mle, mple = finite_fits
+        bare = dataclasses.replace(mple, penalty=None)
+        with pytest.raises(ValueError, match="carries no penalty coefficients"):
+            w_statistics(mple.estimates, data, THREE_PARAM, mle, bare)
+
 
 class TestFitWbar:
     def test_one_param_between_and_closed_form(self):
@@ -225,6 +250,7 @@ class TestRootSearch:
         assert isinstance(err.value, ValueError)
         assert "the MLE is not the maximum" not in str(err.value)
         assert f"by {gap:.3g}" in str(err.value)
+        assert "beyond the tie tolerance" in str(err.value)
 
     def test_bracket_violation_names_the_mle(self, finite_fits):
         data, mle, mple = finite_fits
@@ -233,6 +259,41 @@ class TestRootSearch:
             fit_wbar(data, THREE_PARAM, worse, mple)
         assert "by 0.5" in str(err.value)
         assert "the MPLE is not" not in str(err.value)
+
+
+    def test_tie_at_rounding_level_returns_the_mple(self):
+        # criterion-4 sample (base seed 24, n = 50, replicate 266): near alpha = 0,
+        # l at the MPLE exceeds l at the MLE by 2.46e-12
+        data = sample(SN5, 50, seeded(24, 50, 266))
+        mle, mple = fit_mle(data, THREE_PARAM), fit_mple(data, THREE_PARAM)
+        assert 0.0 < mple.loglik_at_opt - mle.loglik_at_opt < 1e-10
+        wbar = fit_wbar(data, THREE_PARAM, mle, mple)
+        assert wbar.diagnostics.segment_parameter == 1.0
+        for key in ("xi", "omega_mat", "alpha"):
+            assert np.array_equal(getattr(wbar.estimates, key), getattr(mple.estimates, key))
+        assert np.isfinite(wbar.loglik_at_opt)
+
+    def test_tie_at_the_mle_end_returns_the_mle(self, finite_fits):
+        data, mle, mple = finite_fits
+        l_p_hat = mle.loglik_at_opt - q_value(mple.penalty, alpha_star(mle.estimates) ** 2)
+        tied = dataclasses.replace(mple, penalized_loglik_at_opt=l_p_hat - 1e-11)
+        wbar = fit_wbar(data, THREE_PARAM, mle, tied)
+        assert wbar.diagnostics.sign_checks["Wp_minus_W_at_hat"] < 0.0
+        assert wbar.diagnostics.segment_parameter == 0.0
+        for key in ("xi", "omega_mat", "alpha"):
+            assert np.array_equal(getattr(wbar.estimates, key), getattr(mle.estimates, key))
+        beyond = dataclasses.replace(mple, penalized_loglik_at_opt=l_p_hat - 1e-6)
+        with pytest.raises(WbarBracketError, match="beyond the tie tolerance"):
+            fit_wbar(data, THREE_PARAM, mle, beyond)
+
+    def test_real_gap_is_not_a_tie(self):
+        # a seeded d = 2 sample whose MPLE beats the MLE in l by 4.76
+        data = sample(D2_TRUTH, 200, seeded(4099, 2, 12))
+        mle, mple = fit_mle(data, D2), fit_mple(data, D2)
+        with pytest.raises(WbarBracketError,
+                           match="the MLE is not the maximum: l at the MPLE exceeds l at the "
+                                 "MLE by 4.76"):
+            fit_wbar(data, D2, mle, mple)
 
 
 class TestInterpolate:
