@@ -36,7 +36,6 @@ from .montecarlo import RateCurves, StudyConfig, StudySummary, rate_curves, run_
 from .penalty import (
     PenaltyCoeffs,
     line_fit_check,
-    mbb_m,
     q_prime,
     q_value,
     sn_coeffs,
@@ -69,7 +68,6 @@ __all__ = [
     "fit_wbar",
     "line_fit_check",
     "loglik",
-    "mbb_m",
     "penalized_loglik",
     "prob_divergent_mle",
     "prob_negative",

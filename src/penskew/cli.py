@@ -54,14 +54,7 @@ def _ensure_seed(seed):
 
 
 def _cmd_fit(args) -> int:
-    fixed = _parse_fixed(args.fix)
-    penalty = None
-    if args.penalty is not None:
-        if args.family != "st" or "nu" not in fixed:
-            raise ValueError("--penalty selects the skew-t coefficient mode and "
-                             "needs --family st with --fix nu=...")
-        penalty = st_coeffs(float(fixed["nu"]), mode=args.penalty)
-    spec = ModelSpec(family=args.family, dimension=args.dim, fixed=fixed, penalty=penalty)
+    spec = ModelSpec(family=args.family, dimension=args.dim, fixed=_parse_fixed(args.fix))
     data = Dataset.from_csv(args.csv)
     if args.estimator == "all":
         wanted = ["mle", "mple", "wbar"] + (["sf"] if spec.is_one_param else [])
@@ -184,6 +177,7 @@ def _cmd_simulate(args) -> int:
     failures = summary.metadata.get("fit_failures") or {}
     if failures:
         print(f"fit failures: {failures}", file=sys.stderr)
+        print(f"failure kinds: {summary.metadata['failure_kinds']}", file=sys.stderr)
     return 0
 
 
@@ -215,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="mple")
     p_fit.add_argument("--fix", action="append", metavar="NAME=VALUE",
                        help="pin a component, e.g. --fix nu=4 (repeatable)")
-    p_fit.add_argument("--penalty", choices=("exact", "approx"), default=None,
-                       help="skew-t penalty coefficient mode (needs --fix nu=...)")
     p_fit.add_argument("--stderr", action="store_true",
                        help="attach penalized-information standard errors to the MPLE")
     p_fit.add_argument("--divergence-threshold", type=float, default=100.0)

@@ -21,8 +21,8 @@ from scipy import optimize, special
 
 from .distributions import (Dataset, DirectParams, _mahalanobis_and_logdet, _st_log_terms,
                             alpha_star)
-from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik
-from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
+from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, resolve_penalty
+from .penalty import PenaltyCoeffs, q_value
 from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
 
 __all__ = [
@@ -116,24 +116,6 @@ class FitResult:
                 "nu": self.penalty.nu,
             }
         return out
-
-
-def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
-    """Penalty coefficients a fit should use under ``spec``.
-
-    Explicit spec.penalty wins.  Otherwise the skew-normal coefficients,
-    or the skew-t ones at the pinned (or supplied) nu: quadrature-exact
-    when nu is fixed, closed-form approximate when the optimizer is
-    moving nu.
-    """
-    if spec.penalty is not None:
-        return spec.penalty
-    if spec.family == "sn":
-        return sn_coeffs()
-    pinned = spec.fixed.get("nu", nu)
-    if pinned is None:
-        raise ValueError("cannot resolve a skew-t penalty without nu")
-    return st_coeffs(float(pinned), "exact" if "nu" in spec.fixed else "approx")
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +573,20 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
     A largest |alpha| beyond the keyword-only ``divergence_threshold``
     means the search ran away from a bad start, so it restarts from zero
     shape and keeps the better optimum.  The shape-only search runs up to
-    the threshold plus 50.
+    the threshold plus 50.  The penalty coefficients are the model's
+    (:func:`resolve_penalty`), re-resolved at each candidate nu when nu
+    is free.
     """
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_one_param(data, spec, divergence_threshold, penalized=True)
-    if spec.penalty is not None or spec.family == "sn" or "nu" in spec.fixed:
+    if spec.family == "st" and "nu" not in spec.fixed:
+        # free nu: the coefficients move with each candidate nu
+        penalty_fn = lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
+    else:
         coeffs = resolve_penalty(spec)
         penalty_fn = lambda a2, nu: q_value(coeffs, a2)
-        final_coeffs = lambda params: coeffs
-    else:
-        # free nu: closed-form coefficients re-resolved at each candidate nu
-        penalty_fn = lambda a2, nu: q_value(st_coeffs(nu, "approx"), a2)
-        final_coeffs = lambda params: st_coeffs(params.nu, "approx")
     objective = _neg_loglik_factory(data, spec, fmap, penalty_fn)
     start = _mom_start(data, spec, fmap)
     res, nit, stages = _minimize(objective, fmap.pack(start))
@@ -619,11 +601,10 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
             res, params = res2, fmap.unpack(res2.x)
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("penalized optimization failed to find a finite optimum")
-    used = final_coeffs(params)
-    pll = -float(res.fun)
     return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
-                     penalized_loglik_at_opt=pll, converged=bool(res.success or res.status == 2),
-                     iterations=nit, penalty=used, optimizer_trace=stages)
+                     penalized_loglik_at_opt=-float(res.fun),
+                     converged=bool(res.success or res.status == 2), iterations=nit,
+                     penalty=resolve_penalty(spec, params.nu), optimizer_trace=stages)
 
 
 # ---------------------------------------------------------------------------

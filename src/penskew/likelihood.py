@@ -1,6 +1,8 @@
-"""Model specifications, log-likelihoods and penalized log-likelihoods.
+"""Model specifications, their penalty coefficients, log-likelihoods and
+penalized log-likelihoods.
 
 Evaluation only; the fits that maximize these live in ``estimators``.
+The model alone fixes the penalty coefficients (:func:`resolve_penalty`).
 All code consumes log densities only; tail-heavy samples keep every
 term finite.  A fast scalar path covers d = 1, which is where fits and
 simulation studies spend their time.
@@ -15,13 +17,14 @@ import numpy as np
 from scipy import special
 
 from .distributions import Dataset, DirectParams, alpha_star, sn_logpdf, st_logpdf
-from .penalty import PenaltyCoeffs, q_value
-from .specfun import t_logcdf
+from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
+from .specfun import _t_logpdf, t_logcdf
 
 __all__ = [
     "ModelSpec",
     "loglik",
     "penalized_loglik",
+    "resolve_penalty",
     "score_proportionality_check",
 ]
 
@@ -32,17 +35,17 @@ _FIXABLE = ("xi", "omega", "omega_mat", "alpha", "nu")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to fit: family, dimension, pinned components, optional penalty.
+    """What to fit: family, dimension and pinned components.
 
     ``fixed`` maps component names ("xi", "omega"/"omega_mat", "alpha",
     "nu") to pinned values; e.g. {"xi": 0.0, "omega": 1.0} declares the
-    one-parameter shape-only model.
+    one-parameter shape-only model.  The spec also fixes the shape
+    penalty's coefficients; see :func:`resolve_penalty`.
     """
 
     family: str = "sn"
     dimension: int = 1
     fixed: Mapping = field(default_factory=dict)
-    penalty: PenaltyCoeffs | None = None
 
     def __post_init__(self):
         if self.family not in ("sn", "st"):
@@ -94,6 +97,22 @@ _PIN_MESSAGES = {
 }
 
 
+def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
+    """Penalty coefficients of the model ``spec`` at degrees of freedom ``nu``.
+
+    The skew-normal coefficients; for the skew-t, the quadrature-exact
+    ones at a pinned nu, or, when nu is free, the closed-form
+    approximate ones at the given ``nu``.
+    """
+    if spec.family == "sn":
+        return sn_coeffs()
+    if "nu" in spec.fixed:
+        return st_coeffs(float(spec.fixed["nu"]), "exact")
+    if nu is None:
+        raise ValueError("cannot resolve a skew-t penalty without nu")
+    return st_coeffs(float(nu), "approx")
+
+
 def _sn1_loglik(y: np.ndarray, xi: float, omega: float, alpha: float) -> float:
     z = (y - xi) / omega
     return float(np.sum(-0.5 * z * z - 0.5 * _LOG2PI - np.log(omega)
@@ -102,10 +121,9 @@ def _sn1_loglik(y: np.ndarray, xi: float, omega: float, alpha: float) -> float:
 
 def _st1_loglik(y: np.ndarray, xi: float, omega: float, alpha: float, nu: float) -> float:
     z = (y - xi) / omega
-    log_t = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
-             - 0.5 * np.log(nu * np.pi) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu))
     arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z * z))
-    return float(np.sum(np.log(2.0) - np.log(omega) + log_t + t_logcdf(arg, nu + 1.0)))
+    return float(np.sum(np.log(2.0) - np.log(omega) + _t_logpdf(z, nu)
+                        + t_logcdf(arg, nu + 1.0)))
 
 
 def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
@@ -124,10 +142,13 @@ def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
 
 
 def penalized_loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
-    """Log-likelihood minus the shape penalty at alpha*^2."""
-    if spec.penalty is None:
-        raise ValueError("spec.penalty must be set for penalized_loglik")
-    return loglik(params, data, spec) - q_value(spec.penalty, alpha_star(params) ** 2)
+    """Log-likelihood minus the shape penalty at alpha*^2.
+
+    The coefficients are the model's at ``params.nu``
+    (:func:`resolve_penalty`).
+    """
+    coeffs = resolve_penalty(spec, params.nu)
+    return loglik(params, data, spec) - q_value(coeffs, alpha_star(params) ** 2)
 
 
 def score_proportionality_check(data: Dataset, spec: ModelSpec, step: float = 1e-5) -> float:

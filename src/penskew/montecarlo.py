@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
@@ -226,33 +227,31 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
     data = sample(config.true_params, n,
                   np.random.SeedSequence(config.base_seed, spawn_key=(n, rep)))
     need = _needed_fits(config.estimators)
+    thr = config.divergence_threshold
     out = {"rep": rep, "diverged": False, "errors": {}}
-    mle = mple = None
-    if "MLE" in need:
+    fits = {}
+    # the lambdas look the fit functions up in this module at call time, so
+    # wrappers set on the module (e.g. a tracer's) see every call
+    calls = (
+        ("MLE", lambda: fit_mle(data, spec, divergence_threshold=thr)),
+        ("MPLE", lambda: fit_mple(data, spec, divergence_threshold=thr)),
+        ("SF", lambda: fit_sf_one_param(data, spec)),
+        ("WBAR", lambda: fit_wbar(data, spec, fits["MLE"], fits["MPLE"],
+                                  allow_boundary_mle=True)),
+    )
+    for name, call in calls:
+        if name not in need:
+            continue
+        if name == "WBAR" and not {"MLE", "MPLE"} <= fits.keys():
+            out["errors"][name] = "input fit failed"
+            continue
         try:
-            mle = fit_mle(data, spec, divergence_threshold=config.divergence_threshold)
-            out["MLE"] = fmap.direct_pack(mle.estimates)
-            out["diverged"] = mle.diverged
+            fits[name] = call()
+            out[name] = fmap.direct_pack(fits[name].estimates)
         except Exception as exc:  # fit failures are counted, not fatal
-            out["errors"]["MLE"] = repr(exc)
-    if "MPLE" in need:
-        try:
-            mple = fit_mple(data, spec, divergence_threshold=config.divergence_threshold)
-            out["MPLE"] = fmap.direct_pack(mple.estimates)
-        except Exception as exc:
-            out["errors"]["MPLE"] = repr(exc)
-    if "SF" in need:
-        try:
-            sf = fit_sf_one_param(data, spec)
-            out["SF"] = fmap.direct_pack(sf.estimates)
-        except Exception as exc:
-            out["errors"]["SF"] = repr(exc)
-    if "WBAR" in need and mle is not None and mple is not None:
-        try:
-            wbar = fit_wbar(data, spec, mle, mple, allow_boundary_mle=True)
-            out["WBAR"] = fmap.direct_pack(wbar.estimates)
-        except Exception as exc:
-            out["errors"]["WBAR"] = repr(exc)
+            out["errors"][name] = repr(exc)
+    if "MLE" in fits:
+        out["diverged"] = fits["MLE"].diverged
     return out
 
 
@@ -293,7 +292,7 @@ def run_study(config: StudyConfig) -> StudySummary:
     names = fmap.direct_names
     truth = fmap.direct_pack(config.true_params)
     rows, est_store, div_store = [], {e: {} for e in config.estimators}, {}
-    failure_counts = {}
+    failure_counts, failure_kinds = {}, {}
     for n, results in _replicates_by_n(config):
         diverged = np.array([r["diverged"] for r in results], dtype=bool)
         div_store[n] = diverged.tolist()
@@ -301,10 +300,15 @@ def run_study(config: StudyConfig) -> StudySummary:
             ok = [r for r in results if est in r]
             n_fail = config.replicates - len(ok)
             if n_fail:
-                failure_counts[(est, n)] = n_fail
-                log.warning("study %s: %d %s fit failures at n=%d",
-                            config.label or "<unnamed>", n_fail, est, n)
-            arr = np.array([r[est] for r in ok])
+                key = f"{est}@n={n}"
+                failure_counts[key] = n_fail
+                # an error is "input fit failed" or an exception's repr, whose
+                # kind is the class name before the "("
+                failure_kinds[key] = dict(Counter(r["errors"][est].partition("(")[0]
+                                                  for r in results if est not in r))
+                log.warning("study %s: %d %s fit failures at n=%d: %s",
+                            config.label or "<unnamed>", n_fail, est, n, failure_kinds[key])
+            arr = np.array([r[est] for r in ok]).reshape(len(ok), len(names))
             mask_fin = np.array([not r["diverged"] for r in ok], dtype=bool)
             est_store[est][n] = arr.tolist()
             for j, pname in enumerate(names):
@@ -319,7 +323,9 @@ def run_study(config: StudyConfig) -> StudySummary:
                                  "statistic": stat_name, "value": stats[stat_name],
                                  "replicates_used": stats["replicates_used"]})
             if est == "MLE":
-                rows.append({"estimator": "MLE", "parameter": "alpha" if "alpha" in names else names[-1],
+                # d > 1 counts max_j |alpha_j| beyond the threshold
+                rows.append({"estimator": "MLE",
+                             "parameter": "alpha" if config.dimension == 1 else "max_abs_alpha",
                              "n": n, "statistic": "divergence_proportion",
                              "value": float(diverged.mean()),
                              "replicates_used": int(len(results))})
@@ -328,7 +334,8 @@ def run_study(config: StudyConfig) -> StudySummary:
         "parameter_names": names,
         "quantile_method": "median_unbiased",
         "exclusion": config.exclusion,
-        "fit_failures": {f"{e}@n={n}": c for (e, n), c in failure_counts.items()},
+        "fit_failures": failure_counts,
+        "failure_kinds": failure_kinds,
         "estimates": est_store,
         "diverged": div_store,
     }

@@ -24,8 +24,6 @@ __all__ = [
     "st_e_coeffs_exact",
     "st_e2_approx",
     "st_coeffs",
-    "mbb_m",
-    "mbb_coeffs",
     "line_fit_check",
     "LineFitResult",
 ]
@@ -128,26 +126,6 @@ def st_coeffs(nu: float, mode: str = "exact") -> PenaltyCoeffs:
         e2 = st_e2_approx(nu)
         return PenaltyCoeffs(c1=1.0 / (4.0 * e2), c2=e2 / e1, provenance="ST_APPROX", nu=float(nu))
     raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-
-
-MBB_C1 = 3.0 * np.pi**2 / 32.0
-MBB_C2 = 8.0 / np.pi**2
-
-
-def mbb_coeffs() -> PenaltyCoeffs:
-    """Coefficients of the logistic-substitution score correction."""
-    return PenaltyCoeffs(c1=MBB_C1, c2=MBB_C2, provenance="CUSTOM")
-
-
-def mbb_m(alpha: float) -> float:
-    """Closed-form score correction -(3 alpha/2)(1 + 8 alpha^2/pi^2)^-1.
-
-    Equal to -q_prime with c1 = 3 pi^2/32, c2 = 8/pi^2.
-    """
-    a = float(alpha)
-    if not np.isfinite(a):
-        raise ValueError("alpha must be finite")
-    return -1.5 * a / (1.0 + MBB_C2 * a * a)
 
 
 @dataclass(frozen=True)

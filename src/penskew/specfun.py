@@ -89,14 +89,13 @@ def _zeta1(arr: np.ndarray) -> np.ndarray:
 def t_logpdf(x, nu):
     """Log density of the Student t distribution with ``nu`` d.f. (non-integer ok)."""
     nu = _check_nu(nu)
-    arr = _as_float_array(x)
-    out = (
-        special.gammaln((nu + 1.0) / 2.0)
-        - special.gammaln(nu / 2.0)
-        - 0.5 * np.log(nu * np.pi)
-        - 0.5 * (nu + 1.0) * np.log1p(arr * arr / nu)
-    )
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(_t_logpdf(_as_float_array(x), nu), x)
+
+
+def _t_logpdf(arr: np.ndarray, nu: float) -> np.ndarray:
+    """:func:`t_logpdf` on a finite float array and a checked positive ``nu``."""
+    return (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
+            - 0.5 * np.log(nu * np.pi) - 0.5 * (nu + 1.0) * np.log1p(arr * arr / nu))
 
 
 def t_pdf(x, nu):
@@ -134,7 +133,7 @@ def t_logcdf(x, nu):
     bad = ~np.isfinite(log_tail)
     if np.any(bad):
         xb = arr[neg][bad]
-        log_tail[bad] = t_logpdf(xb, nu) + np.log(np.abs(xb)) - np.log(nu)
+        log_tail[bad] = _t_logpdf(xb, nu) + np.log(np.abs(xb)) - np.log(nu)
     out[neg] = log_tail
     pos = ~neg
     if np.any(pos):
@@ -151,7 +150,7 @@ def zeta1_t(x, nu):
     """
     nu = _check_nu(nu)
     arr = _as_float_array(x)
-    out = np.exp(t_logpdf(arr, nu) - t_logcdf(arr, nu))
+    out = np.exp(_t_logpdf(arr, nu) - t_logcdf(arr, nu))
     return _maybe_scalar(out, x)
 
 

@@ -3,7 +3,7 @@
 The estimator sits where the two statistics coincide on the segment
 joining the plain and penalized maximizers.  With the log-quadratic
 penalty that is where alpha*^2 meets the ellipsoid value r(y): a closed
-form in t for d = 1, and a scan plus bisection on the raw parameter
+form in t for d = 1, and a scan plus Brent's method on the raw parameter
 arrays for d > 1.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .distributions import Dataset, DirectParams, alpha_star, sample
 from .estimators import DivergedMLEError, FitResult, fit_mle, fit_mple
@@ -82,12 +83,16 @@ def _segment_alpha_star_sq(a: DirectParams, b: DirectParams, t: float) -> float:
 
 def w_statistics(theta: DirectParams, data: Dataset, spec: ModelSpec,
                  mle: FitResult, mple: FitResult) -> tuple[float, float]:
-    """(W, W_p) at ``theta``: twice the likelihood drops from the two optima."""
+    """(W, W_p) at ``theta``: twice the likelihood drops from the two optima.
+
+    W_p penalizes ``theta`` with the MPLE's coefficients, so for a
+    skew-t with free nu they stay those at the MPLE's nu, not ``theta``'s.
+    """
     if mle.diverged:
         raise DivergedMLEError("W is undefined when the MLE diverged")
     if not mple.converged or mple.penalized_loglik_at_opt is None:
         raise ValueError("need a converged penalized fit")
-    coeffs = spec.penalty if spec.penalty is not None else mple.penalty
+    coeffs = mple.penalty
     if coeffs is None:
         raise ValueError("penalized fit carries no penalty coefficients")
     ll = loglik(theta, data, spec)
@@ -101,7 +106,9 @@ class WbarBracketError(ValueError):
 
     At the MLE, W_p - W = 2 {l_p(theta-tilde) - l_p(theta-hat)}; at the
     MPLE it is 2 {l(theta-tilde) - l(theta-hat)}.  A violated bracket
-    therefore means one input fit is not the maximum it claims to be.
+    therefore means one input fit is not the maximum it claims to be,
+    except for a skew-t with free nu: l_p at the MLE is then penalized
+    at the MPLE's nu, not its own, and that alone can violate the MLE end.
     """
 
 
@@ -114,6 +121,9 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     so the crossing is where alpha*^2(t) meets the ellipsoid value
     r(y) = (exp(q/c1) - 1)/c2.  Both ends are checked first: g(0) > 0 > g(1)
     must hold, or ``WbarBracketError`` names the fit that is not a maximum.
+    Q keeps the MPLE's coefficients along the whole segment; for a skew-t
+    with free nu these are the closed-form ones at the MPLE's nu, so the
+    check at the MLE end compares l_p values penalized at the MPLE's nu.
     An end of the wrong sign whose gap |g|/2 is at most
     1e-10 max(1, |l(theta-hat)|) is a tie at rounding level, not a
     violation: W = W_p holds there, so a tie at the MPLE end (the two
@@ -124,9 +134,9 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     the closed form t = (alpha-hat - sign(alpha-hat) sqrt(r)) / (alpha-hat - alpha-tilde),
     unique because alpha(t)^2 - r is a quadratic positive at 0 and negative
     at 1.  For d > 1, a 33-point scan counts the sign changes and takes the
-    one nearest the MPLE, then bisection and one secant step refine it;
-    both evaluate alpha*^2 on the raw arrays of the segment, and a parameter
-    object is built only at the root.
+    one nearest the MPLE, then Brent's method refines it; both evaluate
+    alpha*^2 on the raw arrays of the segment, and a parameter object is
+    built only at the root.
 
     A diverged MLE leaves the estimator undefined; passing
     ``allow_boundary_mle=True`` instead uses the threshold-clamped fit
@@ -175,7 +185,7 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
         a_hat, a_tilde = float(theta_hat.alpha[0]), float(theta_tilde.alpha[0])
         t_root = (a_hat - np.copysign(np.sqrt(r_y), a_hat)) / (a_hat - a_tilde)
     else:
-        t_root, multiplicity = _bisect_crossing(g)
+        t_root, multiplicity = _scan_crossing(g)
     theta_bar = interpolate_params(theta_hat, theta_tilde, t_root)
     ll = loglik(theta_bar, data, spec)
     diag = WbarDiagnostics(
@@ -191,33 +201,17 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
                      converged=True, iterations=0, penalty=coeffs, diagnostics=diag)
 
 
-def _bisect_crossing(g) -> tuple[float, int]:
+def _scan_crossing(g) -> tuple[float, int]:
     """Root of g on [0, 1] given g(0) > 0 > g(1), and the scan's sign-change count.
 
     The bracket taken is the 33-point scan's last sign change, the one
-    nearest the MPLE; bisection narrows it to 1e-10 in t and one secant
-    step polishes the result.
+    nearest the MPLE; Brent's method refines it.
     """
     ts = np.linspace(0.0, 1.0, 33)
     gs = np.array([g(t) for t in ts])
     flips = np.nonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[0]
     k = flips[-1]
-    lo, hi, glo, ghi = ts[k], ts[k + 1], gs[k], gs[k + 1]
-    for _ in range(60):
-        if hi - lo < 1e-10:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    t_root = 0.5 * (lo + hi)
-    if ghi != glo:
-        t_sec = lo - glo * (hi - lo) / (ghi - glo)
-        if lo <= t_sec <= hi:
-            t_root = t_sec
-    return float(t_root), len(flips)
+    return float(optimize.brentq(g, ts[k], ts[k + 1])), len(flips)
 
 
 def emit_w_scatter(n_reps: int, n: int, alpha_true: float, seed, *,

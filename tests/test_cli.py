@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -50,22 +51,19 @@ class TestFitCommand:
         assert code == 1
         assert "row 3" in capsys.readouterr().err
 
-    def test_skew_t_penalty_mode_flag(self, tmp_path):
-        import numpy as np
+    def test_skew_t_penalty_follows_the_model(self, tmp_path):
         from penskew.distributions import DirectParams, sample
         data = sample(DirectParams.scalar(0.0, 1.0, 3.0, nu=5.0), 500, 31)
         csv = tmp_path / "st.csv"
         data.to_csv(csv)
-        out = tmp_path / "fit.json"
-        code = main(["fit", str(csv), "--family", "st", "--fix", "nu=5",
-                     "--estimator", "mple", "--penalty", "approx", "--out", str(out)])
-        assert code == 0
-        rep = json.loads(out.read_text())
-        assert rep["fits"]["mple"]["penalty"]["provenance"] == "ST_APPROX"
-
-    def test_penalty_flag_requires_skew_t(self, capsys):
-        assert main(["fit", "whatever.csv", "--penalty", "exact"]) == 1
-        assert "skew-t" in capsys.readouterr().err
+        for fix, provenance in ((["--fix", "nu=5"], "ST_EXACT"), ([], "ST_APPROX")):
+            out = tmp_path / "fit.json"
+            code = main(["fit", str(csv), "--family", "st", *fix,
+                         "--estimator", "mple", "--out", str(out)])
+            assert code == 0
+            mple = json.loads(out.read_text())["fits"]["mple"]
+            assert mple["penalty"]["provenance"] == provenance
+            assert mple["penalty"]["nu"] == mple["estimates"]["nu"]
 
     def test_sample_then_fit_round_trip(self, tmp_path):
         csv = tmp_path / "draws.csv"
@@ -141,6 +139,18 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfg_path), "--out", str(out1)]) == 0
         assert main(["simulate", str(cfg_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_failure_kinds_on_stderr(self, monkeypatch, capsys):
+        import penskew.montecarlo
+
+        def failing_fit_mple(*args, **kw):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(penskew.montecarlo, "fit_mple", failing_fit_mple)
+        assert main(["simulate", "smoke", "--out", os.devnull]) == 0
+        err = capsys.readouterr().err
+        assert "fit failures: {'MPLE@n=40': 1}\n" in err
+        assert "failure kinds: {'MPLE@n=40': {'RuntimeError': 1}}\n" in err
 
     def test_unknown_bundled_name(self, capsys):
         assert main(["simulate", "no-such-config"]) == 1

@@ -19,7 +19,7 @@ from penskew.estimators import (
     stderr_from_penalized_info,
 )
 from penskew.likelihood import ModelSpec, loglik, penalized_loglik
-from penskew.penalty import PenaltyCoeffs, q_prime, q_value, st_e_coeffs_exact
+from penskew.penalty import q_prime, q_value, st_e_coeffs_exact
 from penskew.specfun import t_logcdf, zeta1, zeta1_t
 
 from conftest import sn_sample, seeded
@@ -110,14 +110,12 @@ class TestFitMple:
     def test_penalized_value_consistent(self):
         data = sn_sample(4.0, 200, seed=seeded(8, 0))
         fit = fit_mple(data, THREE_PARAM)
-        spec_pen = ModelSpec(family="sn", dimension=1, penalty=fit.penalty)
-        recomputed = penalized_loglik(fit.estimates, data, spec_pen)
+        recomputed = penalized_loglik(fit.estimates, data, THREE_PARAM)
         assert fit.penalized_loglik_at_opt == pytest.approx(recomputed, abs=1e-9)
 
     def test_first_order_conditions(self):
         data = sn_sample(4.0, 150, seed=seeded(9, 0))
         fit = fit_mple(data, THREE_PARAM)
-        spec_pen = ModelSpec(family="sn", dimension=1, penalty=fit.penalty)
         theta = np.array([float(fit.estimates.xi[0]), fit.estimates.omega,
                           float(fit.estimates.alpha[0])])
         h = 1e-5
@@ -126,8 +124,9 @@ class TestFitMple:
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            grads.append((penalized_loglik(DirectParams.scalar(*tp), data, spec_pen)
-                          - penalized_loglik(DirectParams.scalar(*tm), data, spec_pen)) / (2 * h))
+            grads.append((penalized_loglik(DirectParams.scalar(*tp), data, THREE_PARAM)
+                          - penalized_loglik(DirectParams.scalar(*tm), data, THREE_PARAM))
+                         / (2 * h))
         scale = 1.0 + abs(fit.penalized_loglik_at_opt)
         assert np.max(np.abs(grads)) < 1e-4 * scale
 
@@ -155,18 +154,6 @@ class TestFitMple:
                 g.append(abs(float(mple.estimates.alpha[0]) - float(mle.estimates.alpha[0])))
             gaps[n] = np.median(g)
         assert gaps[100] / gaps[1000] > 5.0
-
-    def test_degenerate_penalty_recovers_mle(self):
-        # a numerically-zero c1 makes the two criteria identical
-        y = np.random.default_rng(1234).normal(size=200)
-        spec_pen = ModelSpec(family="sn", dimension=1,
-                             penalty=PenaltyCoeffs(c1=1e-300, c2=1.0))
-        mle = fit_mle(Dataset(y), THREE_PARAM)
-        mple = fit_mple(Dataset(y), spec_pen)
-        assert not mle.diverged
-        for a, b in zip((mle.estimates.xi[0], mle.estimates.omega, mle.estimates.alpha[0]),
-                        (mple.estimates.xi[0], mple.estimates.omega, mple.estimates.alpha[0])):
-            assert float(a) == pytest.approx(float(b), abs=1e-6)
 
 
 class TestFitSf:

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from penskew.distributions import Dataset, DirectParams, sample
+from penskew.distributions import Dataset, DirectParams, alpha_star, sample
 from penskew.estimators import fit_mle, profile_deviance
 from penskew.likelihood import (
     ModelSpec,
+    _st1_loglik,
     loglik,
     penalized_loglik,
+    resolve_penalty,
     score_proportionality_check,
 )
-from penskew.penalty import PenaltyCoeffs, q_value, sn_coeffs
+from penskew.penalty import q_value, sn_coeffs, st_coeffs
+from penskew.specfun import t_logcdf, t_logpdf
 
 from conftest import sn_sample
 
@@ -73,6 +76,18 @@ class TestLoglik:
         with pytest.raises(ValueError, match=message):
             loglik(params(2e-9), data, spec)
 
+    def test_skew_t_kernel_is_bit_equal_to_the_expression_it_replaced(self):
+        xi, omega, alpha, nu = 0.2, 1.3, 1.5, 4.5
+        for seed in range(5):
+            y = sample(DirectParams.scalar(0.3, 1.4, 2.0, nu=nu), 100, seed).column(0)
+            z = (y - xi) / omega
+            log_t = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
+                     - 0.5 * np.log(nu * np.pi) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu))
+            assert np.array_equal(t_logpdf(z, nu), log_t)
+            arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z * z))
+            old = float(np.sum(np.log(2.0) - np.log(omega) + log_t + t_logcdf(arg, nu + 1.0)))
+            assert _st1_loglik(y, xi, omega, alpha, nu) == old
+
     def test_skew_t_one_param_fast_path(self, rng):
         y = rng.standard_t(5, size=30)
         spec = ModelSpec(family="st", dimension=1, fixed={"xi": 0.0, "omega": 1.0, "nu": 5.0})
@@ -85,14 +100,14 @@ class TestLoglik:
 class TestPenalizedLoglik:
     def test_equals_loglik_at_zero_shape(self, rng):
         y = rng.normal(size=30)
-        spec = ModelSpec(family="sn", dimension=1, penalty=sn_coeffs())
+        spec = ModelSpec(family="sn", dimension=1)
         p = DirectParams.scalar(0.1, 1.0, 0.0)
         assert penalized_loglik(p, Dataset(y), spec) == loglik(p, Dataset(y), spec)
 
     def test_direct_substitution(self, rng):
         y = rng.normal(size=30)
         c = sn_coeffs()
-        spec = ModelSpec(family="sn", dimension=1, penalty=c)
+        spec = ModelSpec(family="sn", dimension=1)
         p = DirectParams.scalar(0.0, 1.0, 3.0)
         expected = loglik(p, Dataset(y), spec) - c.c1 * np.log(1 + 9 * c.c2)
         assert penalized_loglik(p, Dataset(y), spec) == pytest.approx(expected, rel=1e-14)
@@ -100,20 +115,18 @@ class TestPenalizedLoglik:
     def test_penalty_gap_identity(self, rng):
         # l_p - l == -Q(alpha*^2) at random parameter points
         c = sn_coeffs()
-        spec = ModelSpec(family="sn", dimension=2, penalty=c)
+        spec = ModelSpec(family="sn", dimension=2)
         data = sample(DirectParams(xi=[0, 0], omega_mat=np.eye(2), alpha=[1, 1]), 40, 8)
         for _ in range(10):
             p = DirectParams(xi=rng.normal(size=2),
                              omega_mat=np.diag(rng.uniform(0.5, 2.0, 2)),
                              alpha=rng.normal(size=2) * 3)
             gap = penalized_loglik(p, data, spec) - loglik(p, data, spec)
-            from penskew.distributions import alpha_star
             assert gap == pytest.approx(-q_value(c, alpha_star(p) ** 2), abs=1e-11)
 
     def test_interior_maximum_for_positive_sample(self):
         data = Dataset(np.abs(np.random.default_rng(6).normal(size=25)))
-        spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0},
-                         penalty=sn_coeffs())
+        spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
         grid = np.geomspace(0.5, 1000.0, 60)
         plain = np.array([loglik(DirectParams.scalar(0, 1, a), data, spec) for a in grid])
         pen = np.array([penalized_loglik(DirectParams.scalar(0, 1, a), data, spec) for a in grid])
@@ -124,16 +137,23 @@ class TestPenalizedLoglik:
         assert 0 < k < len(grid) - 1               # penalized one peaks inside
         assert pen[k] > pen[-1] + 1.0
 
-    def test_requires_penalty(self, rng):
-        spec = ModelSpec(family="sn", dimension=1)
-        with pytest.raises(ValueError):
-            penalized_loglik(DirectParams.scalar(0, 1, 0), Dataset(rng.normal(size=5)), spec)
+    def test_coefficients_follow_the_model(self, rng):
+        # skew-t: exact at a pinned nu, closed-form approximate at params.nu when nu is free
+        data = Dataset(rng.standard_t(5.0, size=40))
+        p = DirectParams.scalar(0.1, 1.2, 2.5, nu=5.0)
+        for spec, coeffs in ((ModelSpec(family="st", fixed={"nu": 5.0}), st_coeffs(5.0, "exact")),
+                             (ModelSpec(family="st"), st_coeffs(5.0, "approx"))):
+            assert resolve_penalty(spec, p.nu) == coeffs
+            q = q_value(coeffs, alpha_star(p) ** 2)
+            assert penalized_loglik(p, data, spec) == loglik(p, data, spec) - q
+        with pytest.raises(ValueError, match="without nu"):
+            resolve_penalty(ModelSpec(family="st"))
 
 
 class TestAffineInvariance:
     def test_univariate(self, rng):
         y = rng.normal(size=35)
-        spec = ModelSpec(family="sn", dimension=1, penalty=sn_coeffs())
+        spec = ModelSpec(family="sn", dimension=1)
         a, b = -2.0, 3.5
         p = DirectParams.scalar(0.2, 0.9, 2.5)
         p2 = DirectParams.scalar(a + b * 0.2, b * 0.9, 2.5)
@@ -146,7 +166,7 @@ class TestAffineInvariance:
     def test_bivariate_diagonal(self, rng):
         p = DirectParams(xi=[0.5, -0.5], omega_mat=[[1.5, 0.4], [0.4, 1.0]], alpha=[2.0, -1.0])
         data = sample(p, 30, 9)
-        spec = ModelSpec(family="sn", dimension=2, penalty=sn_coeffs())
+        spec = ModelSpec(family="sn", dimension=2)
         shift = np.array([1.0, -2.0])
         scale = np.array([2.0, 0.5])
         omega2 = p.omega_mat * np.outer(scale, scale)

@@ -3,6 +3,7 @@ import pytest
 
 import penskew.montecarlo as montecarlo
 from penskew.distributions import DirectParams
+from penskew.estimators import OptimizationError
 from penskew.montecarlo import (
     RateCurves,
     StudyConfig,
@@ -11,6 +12,7 @@ from penskew.montecarlo import (
     run_study,
     summarize,
 )
+from penskew.wbar import WbarBracketError
 
 
 def three_param_config(**kw):
@@ -131,6 +133,56 @@ class TestExclusionRules:
         assert s.replicates_used("MLE", "alpha", 30) == n_fin
         assert s.replicates_used("MPLE", "alpha", 30) == 60
         assert s.replicates_used("WBAR", "alpha", 30) == n_fin
+
+
+class TestFailureReporting:
+    def test_forced_failures_are_counted_and_grouped_by_kind(self, monkeypatch):
+        calls = []
+        real_fit_mle = montecarlo.fit_mle
+
+        def flaky_fit_mle(data, spec, **kw):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OptimizationError("forced")
+            return real_fit_mle(data, spec, **kw)
+
+        def failing_fit_wbar(*args, **kw):
+            raise WbarBracketError("forced")
+
+        monkeypatch.setattr(montecarlo, "fit_mle", flaky_fit_mle)
+        monkeypatch.setattr(montecarlo, "fit_wbar", failing_fit_wbar)
+        s = run_study(three_param_config(replicates=4))
+        assert s.metadata["fit_failures"] == {"MLE@n=30": 1, "WBAR@n=30": 4}
+        # the replicate whose MLE failed has no WBAR attempt
+        assert s.metadata["failure_kinds"] == {
+            "MLE@n=30": {"OptimizationError": 1},
+            "WBAR@n=30": {"WbarBracketError": 3, "input fit failed": 1},
+        }
+        assert s.replicates_used("MLE", "xi", 30) == 3
+        assert s.replicates_used("MPLE", "xi", 30) == 4
+        # a column every replicate of which failed is summarized as NaN over 0 replicates
+        assert s.metadata["estimates"]["WBAR"][30] == []
+        assert s.replicates_used("WBAR", "alpha", 30) == 0
+        assert np.isnan(s.value("WBAR", "alpha", 30, "mean_bias"))
+        assert s.to_json_dict()["metadata"]["failure_kinds"] == s.metadata["failure_kinds"]
+
+    def test_clean_study_reports_no_failures(self):
+        s = run_study(three_param_config(replicates=3))
+        assert s.metadata["fit_failures"] == {} == s.metadata["failure_kinds"]
+
+
+class TestDivergenceRow:
+    def test_bivariate_row_counts_the_largest_shape_component(self):
+        truth = DirectParams(xi=[0.0, 0.0], omega_mat=[[1.0, 0.5], [0.5, 1.0]], alpha=[3.0, -1.0])
+        s = run_study(StudyConfig(true_params=truth, sample_sizes=(20,), replicates=3,
+                                  base_seed=3, dimension=2, estimators=("MLE",)))
+        rows = [r for r in s.rows if r["statistic"] == "divergence_proportion"]
+        assert [r["parameter"] for r in rows] == ["max_abs_alpha"]
+        flags = s.diverged_mask(20)
+        assert flags.tolist() == [True, False, False]
+        assert rows[0]["value"] == pytest.approx(1 / 3) and rows[0]["replicates_used"] == 3
+        max_abs_alpha = np.abs(s.estimates("MLE", 20)[:, -2:]).max(axis=1)
+        assert max_abs_alpha[0] == 100.0 and np.all(max_abs_alpha[1:] < 100.0)
 
 
 class TestStudyConfig:

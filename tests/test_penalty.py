@@ -8,8 +8,6 @@ from penskew.penalty import (
     LineFitResult,
     PenaltyCoeffs,
     line_fit_check,
-    mbb_coeffs,
-    mbb_m,
     q_prime,
     q_value,
     sn_coeffs,
@@ -41,7 +39,7 @@ class TestQValue:
         assert q_value(c, 1.0) == pytest.approx(c.c1 * np.log(1 + c.c2), rel=1e-14)
 
     def test_monotone(self):
-        for coeffs in (sn_coeffs(), mbb_coeffs(), PenaltyCoeffs(0.3, 2.0)):
+        for coeffs in (sn_coeffs(), PenaltyCoeffs(0.3, 2.0)):
             assert q_value(coeffs, 4.0) > q_value(coeffs, 1.0) > 0.0
 
     def test_unbounded(self):
@@ -181,25 +179,6 @@ class TestStCoeffs:
             st_e_coeffs_exact(0.0)
         with pytest.raises(ValueError):
             st_e2_approx(-2.0)
-
-
-class TestMbb:
-    def test_zero_at_origin(self):
-        assert mbb_m(0.0) == 0.0
-
-    def test_negative_for_positive_alpha(self):
-        for a in (0.1, 1.0, 10.0):
-            assert mbb_m(a) < 0
-
-    def test_is_negated_q_prime(self):
-        c = mbb_coeffs()
-        for a in (0.5, 3.0, -2.0):
-            assert mbb_m(a) == pytest.approx(-q_prime(c, a), rel=1e-14)
-
-    def test_integral_identity(self):
-        val, _ = integrate.quad(lambda a: -mbb_m(a), 0.0, 3.0, epsabs=1e-12)
-        expected = (3 * np.pi**2 / 32) * np.log(1 + 8 * 9.0 / np.pi**2)
-        assert val == pytest.approx(expected, abs=1e-8)
 
 
 @pytest.fixture(scope="module")

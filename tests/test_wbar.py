@@ -125,9 +125,9 @@ class TestWStatistics:
         assert len(at) == 1
         monkeypatch.undo()
         # bit for bit the definitions, with the MPLE's penalty
-        pen_spec = dataclasses.replace(spec, penalty=mple.penalty)
+        penalized = loglik(theta, data, spec) - q_value(mple.penalty, alpha_star(theta) ** 2)
         assert w == 2.0 * (mle.loglik_at_opt - loglik(theta, data, spec))
-        assert wp == 2.0 * (mple.penalized_loglik_at_opt - penalized_loglik(theta, data, pen_spec))
+        assert wp == 2.0 * (mple.penalized_loglik_at_opt - penalized)
 
     def test_rejects_a_fit_without_penalty(self, finite_fits):
         data, mle, mple = finite_fits
@@ -241,8 +241,7 @@ class TestRootSearch:
         # a seeded d = 2 sample whose MPLE is not the penalized maximum
         data = sample(D2_TRUTH, 200, np.random.SeedSequence(401, spawn_key=(2, 19)))
         mle, mple = fit_mle(data, D2), fit_mple(data, D2)
-        pen_spec = ModelSpec(family="sn", dimension=2, penalty=mple.penalty)
-        gap = penalized_loglik(mle.estimates, data, pen_spec) - mple.penalized_loglik_at_opt
+        gap = penalized_loglik(mle.estimates, data, D2) - mple.penalized_loglik_at_opt
         assert gap > 1.0
         with pytest.raises(WbarBracketError,
                            match="the MPLE is not the penalized maximum") as err:
@@ -251,6 +250,27 @@ class TestRootSearch:
         assert "the MLE is not the maximum" not in str(err.value)
         assert f"by {gap:.3g}" in str(err.value)
         assert "beyond the tie tolerance" in str(err.value)
+
+    def test_free_nu_violation_comes_from_the_held_coefficients(self):
+        # st_free sample (seed 402, key (1, 10)): penalized at its own nu-hat = 7.07 the
+        # MLE is 0.141 below the MPLE in l_p; only with the MPLE's coefficients, held at
+        # nu-tilde = 5.73, is it 0.0066 above, and that is the violation fit_wbar reports
+        spec = ModelSpec(family="st", dimension=1)
+        data = sample(ST_TRUTH, 200, seeded(402, 1, 10))
+        mle, mple = fit_mle(data, spec), fit_mple(data, spec)
+        assert (mle.estimates.nu, mple.estimates.nu) == (pytest.approx(7.07, abs=5e-3),
+                                                         pytest.approx(5.73, abs=5e-3))
+        assert mple.penalized_loglik_at_opt == pytest.approx(-227.791, abs=5e-4)
+        own = penalized_loglik(mle.estimates, data, spec)
+        assert own == pytest.approx(-227.933, abs=5e-4)
+        assert mple.penalized_loglik_at_opt - own == pytest.approx(0.141, abs=1e-3)
+        held = mle.loglik_at_opt - q_value(mple.penalty, alpha_star(mle.estimates) ** 2)
+        gap = held - mple.penalized_loglik_at_opt
+        assert gap == pytest.approx(0.0066, abs=5e-5)
+        with pytest.raises(WbarBracketError,
+                           match="the MPLE is not the penalized maximum") as err:
+            fit_wbar(data, spec, mle, mple)
+        assert f"by {gap:.3g}" in str(err.value)
 
     def test_bracket_violation_names_the_mle(self, finite_fits):
         data, mle, mple = finite_fits
