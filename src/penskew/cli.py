@@ -79,6 +79,13 @@ def _cmd_fit(args) -> int:
             print("wbar unavailable: MLE diverged", file=sys.stderr)
         else:
             fits["wbar"] = fit_wbar(data, spec, mle, mple)
+    for name, fit in fits.items():
+        print(f"{name}: {fit.iterations} iterations, {fit.evaluations} log-likelihood "
+              "evaluations", file=sys.stderr)
+        if fit.nu_at_bound:
+            print(f"warning: {name} nu = {fit.estimates.nu:.6g} is at an edge of its search "
+                  "range [0.1, 1e6]; the likelihood cannot tell it from the edge",
+                  file=sys.stderr)
     report = {
         "schema": FIT_SCHEMA,
         "version": __version__,

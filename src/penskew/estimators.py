@@ -3,8 +3,10 @@ modified-score estimator, the profile deviance in the shape, and
 standard errors from the penalized observed information.
 
 Optimization runs in transformed coordinates (log scale, log nu, raw
-shape) from a method-of-moments start: a quasi-Newton pass on central
-finite-difference gradients, with a simplex fallback when it stalls.
+shape) from a method-of-moments start: a quasi-Newton pass whose value
+and central-difference gradient come from one evaluation of the point
+and its 2k neighbours as a single stack, with a simplex fallback when
+it stalls.  For d = 1 the stack shares one vectorized log-density pass.
 The shape-only model (xi and omega pinned, d = 1) is fitted instead by
 safeguarded Newton steps on the closed-form score in alpha and its
 derivative, kept inside a sign bracket.
@@ -70,7 +72,13 @@ class RootBracketError(RuntimeError):
 
 @dataclass
 class FitResult:
-    """Outcome of one estimator on one dataset."""
+    """Outcome of one estimator on one dataset.
+
+    ``evaluations`` counts the log-likelihood points the search evaluated:
+    rows of the objective for the quasi-Newton fits, score evaluations for
+    the shape-only ones.  ``nu_at_bound`` flags a free nu that ended at or
+    next to an edge of its search range [0.1, 1e6].
+    """
 
     method: str
     estimates: DirectParams
@@ -81,9 +89,11 @@ class FitResult:
     diverged: bool = False
     converged: bool = True
     iterations: int = 0
+    evaluations: int = 0
     optimizer_trace: list | None = None
     penalty: PenaltyCoeffs | None = None
     diagnostics: object = None
+    nu_at_bound: bool = False
 
     def __post_init__(self):
         if self.diverged and self.method != "MLE":
@@ -105,6 +115,8 @@ class FitResult:
             "diverged": self.diverged,
             "converged": self.converged,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
+            "nu_at_bound": self.nu_at_bound,
         }
         if est.d == 1:
             out["estimates"]["omega"] = est.omega
@@ -220,21 +232,88 @@ class _FreeMap:
     def direct_unpack(self, x: np.ndarray) -> DirectParams:
         return DirectParams(*self._split(x, self._raw_scale[1], float))
 
+    def rows(self, X: np.ndarray) -> list:
+        """(xi, omega, alpha, nu) floats of each row of a d = 1 stack X.
+
+        Each row decodes bit for bit as :meth:`unpack` decodes it, omega
+        being the square root of its Omega.  An exp that overflows
+        decodes as inf.  nu is None for the skew-normal.
+        """
+        m = len(X)
+        xi = X[:, self._xi.start].tolist() if self.free_xi else [float(self._fixed_xi()[0])] * m
+        if self.free_scale:
+            omega = [math.sqrt(_exp_or_inf(2.0 * b)) for b in X[:, self._scale.start].tolist()]
+        else:
+            omega = [math.sqrt(self._fixed_omega_mat()[0, 0])] * m
+        alpha = (X[:, self._alpha.start].tolist() if self.free_alpha
+                 else [float(self._fixed_alpha()[0])] * m)
+        if self.free_nu:
+            nu = [_exp_or_inf(v) for v in X[:, -1].tolist()]
+        else:
+            nu = [None if self.spec.family == "sn" else float(self.spec.fixed["nu"])] * m
+        return list(zip(xi, omega, alpha, nu))
+
 
 # ---------------------------------------------------------------------------
 # objectives and generic optimization
 
 
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _nu_in_range(nu: float) -> bool:
+    """Whether a decoded nu lies in the search range _LOG_NU_BOUNDS."""
+    lo_lnu, hi_lnu = _LOG_NU_BOUNDS
+    return nu > 0.0 and lo_lnu <= math.log(nu) <= hi_lnu
+
+
 def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
                         penalty: Callable | None) -> Callable:
-    """Build the objective over free optimizer coordinates.
+    """Build the objective over stacks of free optimizer vectors.
 
-    ``penalty`` maps (alpha_star_sq, nu) to the penalty value, or None
-    for the plain likelihood.  Invalid regions return a large value.
+    The objective maps X (m x p, one free vector per row) to the m values
+    of minus the (penalized) log-likelihood.  ``penalty`` maps
+    (alpha_star_sq, nu) to the penalty value, or None for the plain
+    likelihood.  Invalid rows get a large value.  For d = 1 the valid rows
+    share one log-density pass over an (m x n) array, one pass per
+    distinct nu in the skew-t family; each row's value is bit-equal to
+    that of a pass of its own.  For d > 1 the rows are evaluated in turn.
     """
-    y = data.column(0) if spec.dimension == 1 else None
+    if spec.dimension > 1:
+        point = _mv_neg_loglik_factory(data, spec, fmap, penalty)
+        return lambda X: np.array([point(x) for x in X])
+    y = data.column(0)
+
+    def objective(X):
+        out = np.full(len(X), _BIG)
+        groups = {}  # nu -> the valid rows' (index, xi, omega, alpha)
+        for i, (xi, omega, alpha, nu) in enumerate(fmap.rows(X)):
+            if fmap.free_nu and not _nu_in_range(nu):
+                continue
+            if not (1e-6 < omega < 1e6) or abs(alpha) > 1e7:
+                continue
+            groups.setdefault(nu, []).append((i, xi, omega, alpha))
+        for nu, members in groups.items():
+            index, *cols = zip(*members)
+            xi, omega, alpha = (np.array(c)[:, None] for c in cols)
+            ll = _sn1_loglik(y, xi, omega, alpha) if nu is None else \
+                _st1_loglik(y, xi, omega, alpha, nu)
+            for i, a, value in zip(index, cols[2], ll.tolist()):
+                if math.isfinite(value):
+                    out[i] = -value if penalty is None else -(value - penalty(a * a, nu))
+        return out
+
+    return objective
+
+
+def _mv_neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
+                           penalty: Callable | None) -> Callable:
+    """One-vector objective of :func:`_neg_loglik_factory` for d > 1."""
     rows = data.rows
-    lo_lnu, hi_lnu = _LOG_NU_BOUNDS
     log_scale = fmap._log_scale[1]
 
     def objective(x):
@@ -242,81 +321,84 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
             xi, omega_mat, alpha, nu = fmap._split(x, log_scale, math.exp)
         except (OverflowError, ValueError):
             return _BIG
-        if fmap.free_nu and not (lo_lnu <= math.log(nu) <= hi_lnu):
+        if fmap.free_nu and not _nu_in_range(nu):
             return _BIG
-        if spec.dimension == 1:
-            omega = math.sqrt(omega_mat[0, 0])
-            if not (1e-6 < omega < 1e6) or abs(alpha[0]) > 1e7:
-                return _BIG
-            if spec.family == "sn":
-                ll = _sn1_loglik(y, xi[0], omega, alpha[0])
-            else:
-                ll = _st1_loglik(y, xi[0], omega, alpha[0], nu)
-            a2 = alpha[0] * alpha[0]
+        diag = np.diag(omega_mat)
+        if not np.all(np.isfinite(diag)) or np.any(diag <= 1e-12) or np.any(diag > 1e12):
+            return _BIG
+        v = rows - xi
+        try:
+            qx, logdet = _mahalanobis_and_logdet(v, omega_mat)
+        except np.linalg.LinAlgError:
+            return _BIG
+        omega_diag = np.sqrt(diag)
+        u = (v / omega_diag) @ alpha
+        if spec.family == "sn":
+            ll = float(np.sum(-0.5 * spec.dimension * np.log(2 * np.pi) - 0.5 * logdet
+                              - 0.5 * qx + np.log(2.0) + special.log_ndtr(u)))
         else:
-            diag = np.diag(omega_mat)
-            if not np.all(np.isfinite(diag)) or np.any(diag <= 1e-12) or np.any(diag > 1e12):
-                return _BIG
-            v = rows - xi
-            try:
-                qx, logdet = _mahalanobis_and_logdet(v, omega_mat)
-            except np.linalg.LinAlgError:
-                return _BIG
-            omega_diag = np.sqrt(diag)
-            u = (v / omega_diag) @ alpha
-            if spec.family == "sn":
-                ll = float(np.sum(-0.5 * spec.dimension * np.log(2 * np.pi) - 0.5 * logdet
-                                  - 0.5 * qx + np.log(2.0) + special.log_ndtr(u)))
-            else:
-                ll = float(np.sum(_st_log_terms(qx, logdet, u, spec.dimension, nu)))
-            w = alpha / omega_diag
-            a2 = float(w @ omega_mat @ w)
+            ll = float(np.sum(_st_log_terms(qx, logdet, u, spec.dimension, nu)))
         if not np.isfinite(ll):
             return _BIG
         if penalty is not None:
-            ll -= penalty(a2, nu)
+            w = alpha / omega_diag
+            ll -= penalty(float(w @ omega_mat @ w), nu)
         return -ll
 
     return objective
 
 
-def _central_grad(f, x):
-    g = np.empty(len(x))
-    for i in range(len(x)):
-        h = _GRAD_STEP * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
 def _bfgs(objective, x0):
-    return optimize.minimize(objective, x0, method="BFGS",
-                             jac=lambda x: _central_grad(objective, x),
+    """BFGS on central differences, each value and gradient from one batch.
+
+    The batch stacks x and its 2k neighbours x +- h e_i with
+    h = 1e-6 max(1, |x_i|).
+    """
+    k = len(x0)
+    # the rows x, x + h_i e_i and x - h_i e_i are x - steps * h; the
+    # entries that subtract +0.0 keep x bit for bit, -0.0 included
+    steps = np.zeros((2 * k + 1, k))
+    steps[1 + np.arange(k), np.arange(k)] = -1.0
+    steps[1 + k + np.arange(k), np.arange(k)] = 1.0
+
+    def value_and_grad(x):
+        h = _GRAD_STEP * np.maximum(1.0, np.abs(x))
+        f = objective(x - steps * h)
+        return f[0], (f[1:k + 1] - f[k + 1:]) / (2.0 * h)
+
+    return optimize.minimize(value_and_grad, x0, method="BFGS", jac=True,
                              options=dict(maxiter=_MAXITER, gtol=_GTOL))
 
 
 def _minimize(objective, x0):
     """Quasi-Newton pass on central-difference gradients, simplex fallback.
 
-    Returns the result, the total iteration count and the stages that
-    ran, each as (name, iterations, objective value).
+    Returns the result, the total iteration count, the number of rows
+    the batch ``objective`` evaluated, and the stages that ran, each as
+    (name, iterations, objective value).
     """
-    res = _bfgs(objective, x0)
+    evaluations = 0
+
+    def counted(X):
+        nonlocal evaluations
+        evaluations += len(X)
+        return objective(X)
+
+    res = _bfgs(counted, x0)
     nit = res.nit
     stages = [("bfgs", int(res.nit), float(res.fun))]
     if not res.success and res.status not in (0, 2):
         # status 2 is "precision loss", common and benign at flat optima
-        nm = optimize.minimize(objective, x0, method="Nelder-Mead",
+        nm = optimize.minimize(lambda x: counted(x[None])[0], x0, method="Nelder-Mead",
                                options=dict(maxiter=200 * len(x0), xatol=1e-8, fatol=1e-10))
         nit += nm.nit
         stages.append(("nelder-mead", int(nm.nit), float(nm.fun)))
         if nm.fun < res.fun:
-            res2 = _bfgs(objective, nm.x)
+            res2 = _bfgs(counted, nm.x)
             nit += res2.nit
             stages.append(("bfgs", int(res2.nit), float(res2.fun)))
             res = res2 if res2.fun <= nm.fun else nm
-    return res, nit, stages
+    return res, nit, evaluations, stages
 
 
 def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams):
@@ -324,14 +406,31 @@ def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams
 
     Alpha is pinned at ``alpha`` and the search starts from ``start``
     (its alpha is ignored).  Returns the maximizer, the maximum, whether
-    the optimizer converged, and the iterations and stages of
-    :func:`_minimize`.
+    the optimizer converged, and the iterations, evaluations and stages
+    of :func:`_minimize`.
     """
     pinned = replace(spec, fixed={**spec.fixed, "alpha": alpha})
     fmap = _FreeMap(pinned)
-    res, nit, stages = _minimize(_neg_loglik_factory(data, pinned, fmap, None), fmap.pack(start))
+    res, nit, evaluations, stages = _minimize(_neg_loglik_factory(data, pinned, fmap, None),
+                                              fmap.pack(start))
     return (fmap.unpack(res.x), -float(res.fun), bool(res.success or res.status == 2),
-            nit, stages)
+            nit, evaluations, stages)
+
+
+# a free nu counts as at an edge of its search range _LOG_NU_BOUNDS when,
+# the other parameters held, the objective at that edge is within this of
+# its value at the estimate: the likelihood cannot tell the two apart
+_NU_EDGE_TOL = 1e-3
+
+
+def _nu_at_bound(objective, fmap: _FreeMap, params: DirectParams) -> bool:
+    """Whether the free nu of the fit ``params`` is at or next to an edge of its range."""
+    if not fmap.free_nu:
+        return False
+    X = np.tile(fmap.pack(params), (3, 1))
+    X[1:, -1] = _LOG_NU_BOUNDS
+    f = objective(X)
+    return bool(min(f[1], f[2]) - f[0] <= _NU_EDGE_TOL)
 
 
 def _shape_moment_alpha(z: np.ndarray) -> np.ndarray:
@@ -482,7 +581,7 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
     def diverged(a_rep, nfev):
         est = DirectParams.scalar(xi, omega, a_rep, nu)
         return FitResult(method="MLE", estimates=est, loglik_at_opt=loglik(est, data, spec),
-                         diverged=True, converged=True, iterations=nfev)
+                         diverged=True, converged=True, iterations=nfev, evaluations=nfev)
 
     z = (data.column(0) - xi) / omega
     if not penalized and (np.all(z > 0) or np.all(z < 0)):
@@ -520,9 +619,9 @@ def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
     if penalized:
         return FitResult(method="MPLE", estimates=est, loglik_at_opt=ll,
                          penalized_loglik_at_opt=ll - q_value(coeffs, a_hat * a_hat),
-                         converged=True, iterations=nfev, penalty=coeffs)
+                         converged=True, iterations=nfev, evaluations=nfev, penalty=coeffs)
     return FitResult(method="MLE", estimates=est, loglik_at_opt=ll,
-                     converged=True, iterations=nfev)
+                     converged=True, iterations=nfev, evaluations=nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +644,28 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
         return _fit_one_param(data, spec, thr, penalized=False)
     objective = _neg_loglik_factory(data, spec, fmap, None)
     start = _mom_start(data, spec, fmap)
-    res, nit, stages = _minimize(objective, fmap.pack(start))
+    res, nit, nev, stages = _minimize(objective, fmap.pack(start))
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
         if fmap.free_xi or fmap.free_scale or fmap.free_nu:
-            params, ll, _, nit2, stages2 = _fit_alpha_pinned(data, spec, clamped, params)
+            params, ll, _, nit2, nev2, stages2 = _fit_alpha_pinned(data, spec, clamped, params)
             nit += nit2
+            nev += nev2
             stages += stages2
         else:
             params = replace(params, alpha=clamped)
-            ll = -float(objective(fmap.pack(params)))
+            ll = -float(objective(fmap.pack(params)[None])[0])
+            nev += 1
         return FitResult(method="MLE", estimates=params, loglik_at_opt=ll,
-                         diverged=True, converged=True, iterations=nit,
-                         optimizer_trace=stages)
+                         diverged=True, converged=True, iterations=nit, evaluations=nev,
+                         optimizer_trace=stages, nu_at_bound=_nu_at_bound(objective, fmap, params))
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("likelihood optimization failed to find a finite optimum")
     return FitResult(method="MLE", estimates=params, loglik_at_opt=-float(res.fun),
                      converged=bool(res.success or res.status == 2), iterations=nit,
-                     optimizer_trace=stages)
+                     evaluations=nev, optimizer_trace=stages,
+                     nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 
 def fit_mple(data: Dataset, spec: ModelSpec, *,
@@ -589,13 +691,14 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
         penalty_fn = lambda a2, nu: q_value(coeffs, a2)
     objective = _neg_loglik_factory(data, spec, fmap, penalty_fn)
     start = _mom_start(data, spec, fmap)
-    res, nit, stages = _minimize(objective, fmap.pack(start))
+    res, nit, nev, stages = _minimize(objective, fmap.pack(start))
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > divergence_threshold:
         # interior maximum is guaranteed; a runaway means a bad start
         null = replace(start, alpha=np.zeros(spec.dimension))
-        res2, nit2, stages2 = _minimize(objective, fmap.pack(null))
+        res2, nit2, nev2, stages2 = _minimize(objective, fmap.pack(null))
         nit += nit2
+        nev += nev2
         stages += stages2
         if res2.fun <= res.fun:
             res, params = res2, fmap.unpack(res2.x)
@@ -604,7 +707,8 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
     return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
                      penalized_loglik_at_opt=-float(res.fun),
                      converged=bool(res.success or res.status == 2), iterations=nit,
-                     penalty=resolve_penalty(spec, params.nu), optimizer_trace=stages)
+                     evaluations=nev, penalty=resolve_penalty(spec, params.nu),
+                     optimizer_trace=stages, nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +747,7 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
                                 spec.fixed.get("nu"))
     values, oks, starts = [], [], []
     for a in grid:
-        start, val, ok, _, _ = _fit_alpha_pinned(data, spec, a, start)
+        start, val, ok, _, _, _ = _fit_alpha_pinned(data, spec, a, start)
         values.append(val)
         oks.append(ok)
         starts.append(start)
@@ -747,7 +851,7 @@ def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
             nfev += n_newton
     est = DirectParams.scalar(float(spec.fixed["xi"]), float(spec.fixed["omega"]), root)
     return FitResult(method="SF", estimates=est, loglik_at_opt=loglik(est, data, spec),
-                     converged=True, iterations=nfev)
+                     converged=True, iterations=nfev, evaluations=nfev)
 
 
 def st_m_exact(alpha: float, nu: float) -> float:

@@ -113,17 +113,22 @@ def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
     return st_coeffs(float(nu), "approx")
 
 
-def _sn1_loglik(y: np.ndarray, xi: float, omega: float, alpha: float) -> float:
+# The d = 1 kernels sum along the last axis: with scalar xi, omega and
+# alpha they give one log-likelihood; with (m, 1) columns, one per row,
+# each bit-equal to its own scalar call.
+
+
+def _sn1_loglik(y: np.ndarray, xi, omega, alpha):
     z = (y - xi) / omega
-    return float(np.sum(-0.5 * z * z - 0.5 * _LOG2PI - np.log(omega)
-                        + np.log(2.0) + special.log_ndtr(alpha * z)))
+    return np.sum(-0.5 * z * z - 0.5 * _LOG2PI - np.log(omega)
+                  + np.log(2.0) + special.log_ndtr(alpha * z), axis=-1)
 
 
-def _st1_loglik(y: np.ndarray, xi: float, omega: float, alpha: float, nu: float) -> float:
+def _st1_loglik(y: np.ndarray, xi, omega, alpha, nu: float):
     z = (y - xi) / omega
     arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z * z))
-    return float(np.sum(np.log(2.0) - np.log(omega) + _t_logpdf(z, nu)
-                        + t_logcdf(arg, nu + 1.0)))
+    return np.sum(np.log(2.0) - np.log(omega) + _t_logpdf(z, nu)
+                  + t_logcdf(arg, nu + 1.0), axis=-1)
 
 
 def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
@@ -135,8 +140,8 @@ def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
         y = data.column(0)
         xi, omega, alpha = float(params.xi[0]), params.omega, float(params.alpha[0])
         if spec.family == "sn":
-            return _sn1_loglik(y, xi, omega, alpha)
-        return _st1_loglik(y, xi, omega, alpha, params.nu)
+            return float(_sn1_loglik(y, xi, omega, alpha))
+        return float(_st1_loglik(y, xi, omega, alpha, params.nu))
     pdf = sn_logpdf if spec.family == "sn" else st_logpdf
     return float(np.sum(pdf(data.rows, params)))
 

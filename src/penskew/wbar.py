@@ -198,7 +198,8 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     )
     return FitResult(method="WBAR", estimates=theta_bar, loglik_at_opt=ll,
                      penalized_loglik_at_opt=ll - q_value(coeffs, alpha_star(theta_bar) ** 2),
-                     converged=True, iterations=0, penalty=coeffs, diagnostics=diag)
+                     converged=True, iterations=0, evaluations=1, penalty=coeffs,
+                     diagnostics=diag)
 
 
 def _scan_crossing(g) -> tuple[float, int]:

@@ -1,11 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize, special
 
-from penskew.distributions import Dataset, DirectParams, sample, st_logpdf
+from penskew.distributions import (Dataset, DirectParams, _mahalanobis_and_logdet,
+                                   _st_log_terms, sample, st_logpdf)
+from penskew import estimators
 from penskew.estimators import (
+    _BIG,
+    _LOG_NU_BOUNDS,
     DivergedMLEError,
     FitResult,
     _FreeMap,
@@ -18,7 +23,7 @@ from penskew.estimators import (
     st_m_exact,
     stderr_from_penalized_info,
 )
-from penskew.likelihood import ModelSpec, loglik, penalized_loglik
+from penskew.likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, penalized_loglik
 from penskew.penalty import q_prime, q_value, st_e_coeffs_exact
 from penskew.specfun import t_logcdf, zeta1, zeta1_t
 
@@ -304,6 +309,12 @@ def test_free_map_round_trips(name):
     if fmap.free_nu:
         assert fmap.unpack(x).nu == math.exp(x[-1])
         assert fmap.direct_unpack(xd).nu == xd[-1]
+    if spec.dimension == 1:
+        # the batch objective's row decoder agrees with unpack bit for bit
+        back = fmap.unpack(x)
+        (xi, omega, alpha, nu), = fmap.rows(x[None])
+        assert (xi, alpha, nu) == (back.xi[0], back.alpha[0], back.nu)
+        assert omega == math.sqrt(back.omega_mat[0, 0])
 
 
 class TestFitResultType:
@@ -328,7 +339,8 @@ class TestFitResultType:
         fmap = _FreeMap(spec)
         x = fmap.pack(truth)
         objective = _neg_loglik_factory(data, spec, fmap, None)
-        assert objective(x) == -float(np.sum(st_logpdf(data.rows, fmap.unpack(x))))
+        value, = objective(x[None])
+        assert value == -float(np.sum(st_logpdf(data.rows, fmap.unpack(x))))
 
     def test_loglik_consistent_with_public_evaluator(self):
         data = sn_sample(2.0, 80, seed=seeded(15, 0))
@@ -541,3 +553,244 @@ class TestOptimizerTrace:
         assert fit.diverged
         self.check_stages(fit)
         assert len(fit.optimizer_trace) >= 2  # the re-fit at the clamped shape ran too
+
+
+# ---------------------------------------------------------------------------
+# the batch objective and one-pass BFGS against the per-point objective and
+# the central-difference gradient they replaced
+
+
+def point_objective(data, spec, fmap, penalty):
+    """Minus the (penalized) log-likelihood at one free vector, evaluated alone."""
+    y = data.column(0) if spec.dimension == 1 else None
+    rows = data.rows
+    lo_lnu, hi_lnu = _LOG_NU_BOUNDS
+    log_scale = fmap._log_scale[1]
+
+    def objective(x):
+        try:
+            xi, omega_mat, alpha, nu = fmap._split(x, log_scale, math.exp)
+        except (OverflowError, ValueError):
+            return _BIG
+        if fmap.free_nu and not (lo_lnu <= math.log(nu) <= hi_lnu):
+            return _BIG
+        if spec.dimension == 1:
+            omega = math.sqrt(omega_mat[0, 0])
+            if not (1e-6 < omega < 1e6) or abs(alpha[0]) > 1e7:
+                return _BIG
+            if spec.family == "sn":
+                ll = float(_sn1_loglik(y, xi[0], omega, alpha[0]))
+            else:
+                ll = float(_st1_loglik(y, xi[0], omega, alpha[0], nu))
+            a2 = alpha[0] * alpha[0]
+        else:
+            diag = np.diag(omega_mat)
+            if not np.all(np.isfinite(diag)) or np.any(diag <= 1e-12) or np.any(diag > 1e12):
+                return _BIG
+            v = rows - xi
+            try:
+                qx, logdet = _mahalanobis_and_logdet(v, omega_mat)
+            except np.linalg.LinAlgError:
+                return _BIG
+            omega_diag = np.sqrt(diag)
+            u = (v / omega_diag) @ alpha
+            if spec.family == "sn":
+                ll = float(np.sum(-0.5 * spec.dimension * np.log(2 * np.pi) - 0.5 * logdet
+                                  - 0.5 * qx + np.log(2.0) + special.log_ndtr(u)))
+            else:
+                ll = float(np.sum(_st_log_terms(qx, logdet, u, spec.dimension, nu)))
+            w = alpha / omega_diag
+            a2 = float(w @ omega_mat @ w)
+        if not np.isfinite(ll):
+            return _BIG
+        if penalty is not None:
+            ll -= penalty(a2, nu)
+        return -ll
+
+    return objective
+
+
+def central_grad(f, x):
+    g = np.empty(len(x))
+    for i in range(len(x)):
+        h = 1e-6 * max(1.0, abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        g[i] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
+def per_point_factory(data, spec, fmap, penalty):
+    point = point_objective(data, spec, fmap, penalty)
+    return lambda X: np.array([point(x) for x in X])
+
+
+def per_point_bfgs(objective, x0):
+    """BFGS with the value and the central-difference gradient evaluated point by point."""
+    f = lambda x: objective(x[None])[0]
+    return optimize.minimize(f, x0, method="BFGS", jac=lambda x: central_grad(f, x),
+                             options=dict(maxiter=300, gtol=1e-6))
+
+
+def model_penalty(spec):
+    if spec.family == "st" and "nu" not in spec.fixed:
+        return lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
+    coeffs = resolve_penalty(spec)
+    return lambda a2, nu: q_value(coeffs, a2)
+
+
+BATCH_TRUTH_ST1 = DirectParams.scalar(0.3, 1.4, 3.0, nu=4.0)
+BATCH_CLASSES = {
+    "1p": (FREE_MAP_SN1, ModelSpec(fixed={"xi": 0.0, "omega": 1.0})),
+    "3p": (FREE_MAP_SN1, THREE_PARAM),
+    "alpha_pinned": (FREE_MAP_SN1, ModelSpec(fixed={"alpha": -2.2})),
+    "st_pin": (BATCH_TRUTH_ST1, ModelSpec(family="st", fixed={"nu": 4.0})),
+    "st_free": (BATCH_TRUTH_ST1, ModelSpec(family="st")),
+    "d2": (FREE_MAP_SN2, ModelSpec(dimension=2)),
+}
+
+
+def invalid_rows(fmap, x):
+    """Rows of the free stack that the objective must reject, with what each breaks."""
+    out = {}
+    if fmap.free_scale and fmap.d == 1:
+        k = fmap.direct_names.index("omega")
+        for name, value in (("omega below 1e-6", math.log(5e-7)),
+                            ("omega above 1e6", math.log(2e6)), ("exp overflow", 400.0)):
+            out[name] = x.copy()
+            out[name][k] = value
+    if fmap.free_alpha and fmap.d == 1:
+        out["|alpha| above 1e7"] = x.copy()
+        out["|alpha| above 1e7"][fmap.direct_names.index("alpha")] = -2e7
+    if fmap.free_nu:
+        for name, value in (("log nu below range", _LOG_NU_BOUNDS[0] - 0.5),
+                            ("log nu above range", _LOG_NU_BOUNDS[1] + 0.5),
+                            ("nu exp overflow", 800.0)):
+            out[name] = x.copy()
+            out[name][-1] = value
+    if fmap.free_xi:
+        # (y - xi)^2 overflows: a non-finite log-likelihood
+        out["non-finite loglik"] = x.copy()
+        out["non-finite loglik"][0] = 1e300
+    return out
+
+
+@pytest.mark.parametrize("penalized", [False, True])
+@pytest.mark.parametrize("name", sorted(BATCH_CLASSES))
+def test_batch_objective_equals_per_point_objective(name, penalized):
+    truth, spec = BATCH_CLASSES[name]
+    fmap = _FreeMap(spec)
+    data = sample(truth, 120, seeded(17, len(name)))
+    penalty = model_penalty(spec) if penalized else None
+    rng = np.random.default_rng(seeded(17, len(name), penalized))
+    x = fmap.pack(truth)
+    random_rows = x + rng.normal(scale=0.5, size=(40, len(x)))
+    bad = invalid_rows(fmap, x)
+    X = np.vstack([random_rows, *bad.values()]) if bad else random_rows
+    point = point_objective(data, spec, fmap, penalty)
+    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite row overflows
+        batch = _neg_loglik_factory(data, spec, fmap, penalty)(X)
+        assert np.array_equal(batch, [point(row) for row in X])
+    assert np.all(batch[:len(random_rows)] < _BIG)
+    assert np.all(batch[len(random_rows):] == _BIG), sorted(bad)
+
+
+TRUTH5 = DirectParams.scalar(0.0, 1.0, 5.0)
+ORACLE_FITS = {
+    # the divergent table1_3p replicate: a 65-iteration run-away, then the pinned re-fit
+    "3p_divergent": (TRUTH5, THREE_PARAM, 50, seeded(20260809, 50, 1)),
+    "3p": (TRUTH5, THREE_PARAM, 50, seeded(20260809, 50, 0)),
+    "st_pin": (DirectParams.scalar(0.0, 1.0, 3.0, 4.0), ModelSpec(family="st", fixed={"nu": 4.0}),
+               200, seeded(20260811, 0, 0)),
+    "st_free": (DirectParams.scalar(0.0, 1.0, 3.0, 4.0), ModelSpec(family="st"),
+                200, seeded(20260811, 1, 0)),
+    "d2": (DirectParams(xi=np.zeros(2), omega_mat=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                        alpha=np.array([3.0, -1.0])), ModelSpec(dimension=2),
+           100, seeded(20260811, 2, 0)),
+}
+
+
+def fit_fingerprint(fit):
+    est = fit.estimates
+    return (est.xi.tolist(), est.omega_mat.tolist(), est.alpha.tolist(), est.nu,
+            fit.loglik_at_opt, fit.penalized_loglik_at_opt, fit.iterations,
+            fit.optimizer_trace, fit.diverged, fit.converged, fit.nu_at_bound)
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_mple])
+@pytest.mark.parametrize("name", sorted(ORACLE_FITS))
+def test_one_pass_bfgs_reproduces_the_per_point_fit(name, fit, monkeypatch):
+    truth, spec, n, seed = ORACLE_FITS[name]
+    data = sample(truth, n, seed)
+    batched = fit(data, spec)
+    monkeypatch.setattr(estimators, "_neg_loglik_factory", per_point_factory)
+    monkeypatch.setattr(estimators, "_bfgs", per_point_bfgs)
+    per_point = fit(data, spec)
+    assert fit_fingerprint(batched) == fit_fingerprint(per_point)
+    if name == "3p_divergent" and fit is fit_mle:
+        assert batched.diverged and batched.optimizer_trace[0][1] == 65
+        assert len(batched.optimizer_trace) >= 2  # the pinned re-fit ran
+
+
+# fit_mle on sn_sample(3.0, 100, seeded(16, 0)): 9 BFGS iterations, 14 batches of 7 rows
+ITERATIONS_3P, EVALUATIONS_3P = 9, 98
+
+
+class TestEvaluations:
+    def test_three_param_count_is_pinned(self):
+        fit = fit_mle(sn_sample(3.0, 100, seed=seeded(16, 0)), THREE_PARAM)
+        assert fit.optimizer_trace == [("bfgs", fit.iterations, -fit.loglik_at_opt)]
+        # every BFGS step evaluates the point and its 2k = 6 neighbours together
+        assert fit.evaluations % 7 == 0
+        assert fit.evaluations == EVALUATIONS_3P
+        assert fit.to_json_dict()["evaluations"] == fit.evaluations
+
+    def test_shape_only_counts_score_calls(self):
+        data = sn_sample(2.0, 60, seed=seeded(14, 1))
+        for fit in (fit_mle(data, ONE_PARAM), fit_mple(data, ONE_PARAM),
+                    fit_sf_one_param(data, ONE_PARAM)):
+            assert fit.evaluations == fit.iterations > 0
+
+    def test_cli_fit_reports_counts_on_stderr(self, tmp_path, capsys):
+        from penskew.cli import main
+        csv = tmp_path / "y.csv"
+        sn_sample(3.0, 100, seed=seeded(16, 0)).to_csv(csv)
+        assert main(["fit", str(csv), "--estimator", "mle", "--out", str(tmp_path / "f.json")]) == 0
+        assert (f"mle: {ITERATIONS_3P} iterations, {EVALUATIONS_3P} log-likelihood evaluations"
+                in capsys.readouterr().err)
+
+
+def platykurtic_sample():
+    """Lighter-than-normal tails: the free-nu likelihood rises toward nu = infinity."""
+    rng = np.random.default_rng(seeded(88, 50, 0))
+    return Dataset(rng.uniform(-1.0, 1.0, size=50) + 0.3 * rng.exponential(size=50))
+
+
+class TestNuAtBound:
+    def test_free_nu_driven_to_the_upper_edge_is_flagged(self):
+        fit = fit_mle(platykurtic_sample(), ModelSpec(family="st"))
+        assert _LOG_NU_BOUNDS[1] - math.log(fit.estimates.nu) < 0.1
+        assert fit.nu_at_bound and fit.to_json_dict()["nu_at_bound"] is True
+
+    def test_interior_and_pinned_nu_are_not_flagged(self):
+        data = sample(DirectParams.scalar(0.0, 1.0, 3.0, 4.0), 1000, seeded(77, 1000, 0))
+        assert not fit_mle(data, ModelSpec(family="st")).nu_at_bound
+        assert not fit_mple(data, ModelSpec(family="st")).nu_at_bound
+        assert not fit_mle(platykurtic_sample(), ModelSpec(family="st", fixed={"nu": 4.0})).nu_at_bound
+
+    def test_both_edges_are_inside_the_search_range(self):
+        spec = ModelSpec(family="st")
+        fmap = _FreeMap(spec)
+        X = np.tile(fmap.pack(BATCH_TRUTH_ST1), (2, 1))
+        X[:, -1] = _LOG_NU_BOUNDS
+        values = _neg_loglik_factory(sample(BATCH_TRUTH_ST1, 50, 3), spec, fmap, None)(X)
+        assert np.all(values < _BIG)
+
+    def test_cli_fit_warns_on_stderr(self, tmp_path, capsys):
+        from penskew.cli import main
+        csv = tmp_path / "y.csv"
+        platykurtic_sample().to_csv(csv)
+        out = tmp_path / "f.json"
+        assert main(["fit", str(csv), "--family", "st", "--estimator", "mle", "--out", str(out)]) == 0
+        assert "warning: mle nu = " in capsys.readouterr().err
+        assert json.loads(out.read_text())["fits"]["mle"]["nu_at_bound"] is True
