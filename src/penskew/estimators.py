@@ -7,15 +7,15 @@ shape) from a method-of-moments start: a quasi-Newton pass whose value
 and central-difference gradient come from one evaluation of the point
 and its 2k neighbours as a single stack, with a simplex fallback when
 it stalls.  For d = 1 the stack shares one vectorized log-density pass.
-The shape-only model (xi and omega pinned, d = 1) is fitted instead by
-safeguarded Newton steps on the closed-form score in alpha and its
-derivative, kept inside a sign bracket.
+The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
+sign-bracketed safeguarded Newton search on the closed-form score in
+alpha plus the estimator's correction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -370,51 +370,52 @@ def _bfgs(objective, x0):
                              options=dict(maxiter=_MAXITER, gtol=_GTOL))
 
 
-def _minimize(objective, x0):
-    """Quasi-Newton pass on central-difference gradients, simplex fallback.
+@dataclass
+class _SearchLog:
+    """Iterations, objective rows and (name, iterations, value) stages of a fit's searches."""
 
-    Returns the result, the total iteration count, the number of rows
-    the batch ``objective`` evaluated, and the stages that ran, each as
-    (name, iterations, objective value).
-    """
-    evaluations = 0
+    iterations: int = 0
+    evaluations: int = 0
+    stages: list = field(default_factory=list)
 
-    def counted(X):
-        nonlocal evaluations
-        evaluations += len(X)
-        return objective(X)
+    def fields(self) -> dict:
+        return dict(iterations=self.iterations, evaluations=self.evaluations,
+                    optimizer_trace=self.stages)
 
-    res = _bfgs(counted, x0)
-    nit = res.nit
-    stages = [("bfgs", int(res.nit), float(res.fun))]
-    if not res.success and res.status not in (0, 2):
-        # status 2 is "precision loss", common and benign at flat optima
-        nm = optimize.minimize(lambda x: counted(x[None])[0], x0, method="Nelder-Mead",
-                               options=dict(maxiter=200 * len(x0), xatol=1e-8, fatol=1e-10))
-        nit += nm.nit
-        stages.append(("nelder-mead", int(nm.nit), float(nm.fun)))
-        if nm.fun < res.fun:
-            res2 = _bfgs(counted, nm.x)
-            nit += res2.nit
-            stages.append(("bfgs", int(res2.nit), float(res2.fun)))
-            res = res2 if res2.fun <= nm.fun else nm
-    return res, nit, evaluations, stages
+    def _stage(self, name: str, res):
+        self.iterations += res.nit
+        self.stages.append((name, int(res.nit), float(res.fun)))
+        return res
+
+    def minimize(self, objective, x0):
+        """Quasi-Newton pass on central-difference gradients, simplex fallback."""
+        def counted(X):
+            self.evaluations += len(X)
+            return objective(X)
+
+        res = self._stage("bfgs", _bfgs(counted, x0))
+        if not res.success and res.status not in (0, 2):
+            # status 2 is "precision loss", common and benign at flat optima
+            nm = self._stage("nelder-mead", optimize.minimize(
+                lambda x: counted(x[None])[0], x0, method="Nelder-Mead",
+                options=dict(maxiter=200 * len(x0), xatol=1e-8, fatol=1e-10)))
+            if nm.fun < res.fun:
+                res2 = self._stage("bfgs", _bfgs(counted, nm.x))
+                res = res2 if res2.fun <= nm.fun else nm
+        return res
 
 
-def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams):
+def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams, log):
     """Plain-likelihood maximum over the free parameters of ``spec`` other than alpha.
 
     Alpha is pinned at ``alpha`` and the search starts from ``start``
-    (its alpha is ignored).  Returns the maximizer, the maximum, whether
-    the optimizer converged, and the iterations, evaluations and stages
-    of :func:`_minimize`.
+    (its alpha is ignored); it adds to ``log``.  Returns the maximizer,
+    the maximum and whether the optimizer converged.
     """
     pinned = replace(spec, fixed={**spec.fixed, "alpha": alpha})
     fmap = _FreeMap(pinned)
-    res, nit, evaluations, stages = _minimize(_neg_loglik_factory(data, pinned, fmap, None),
-                                              fmap.pack(start))
-    return (fmap.unpack(res.x), -float(res.fun), bool(res.success or res.status == 2),
-            nit, evaluations, stages)
+    res = log.minimize(_neg_loglik_factory(data, pinned, fmap, None), fmap.pack(start))
+    return fmap.unpack(res.x), -float(res.fun), bool(res.success or res.status == 2)
 
 
 # a free nu counts as at an edge of its search range _LOG_NU_BOUNDS when,
@@ -567,61 +568,72 @@ def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int]
     return x, _NEWTON_MAXEV
 
 
-def _fit_one_param(data: Dataset, spec: ModelSpec, thr: float, penalized: bool):
-    """Shape-only MLE or MPLE: safeguarded Newton from the moment estimate.
+def _doublings(first: float):
+    """Bracket ends first, 2 first, 4 first, ..., none beyond 2^45, made as they are asked for."""
+    return (first * 2.0**j for j in range(46) if first * 2.0**j <= 2.0**45)
 
-    The score at zero picks the side the (penalized) likelihood rises
-    to; the search interval runs from zero to the divergence threshold
-    for the MLE and to the threshold plus 50 for the MPLE.  An MLE
-    whose score keeps its sign at the threshold has diverged.
+
+def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitResult:
+    """Shape-only MLE, MPLE or SF: the root of h = score + correction in alpha.
+
+    The correction is 0, -q'(alpha) or M(alpha).  On the side the score at
+    zero picks, h is evaluated at each of ``ends`` in turn until it is 0 or
+    changes sign; safeguarded Newton from the moment estimate then finds
+    the root between the last two points.  If h never changes sign, the
+    MLE has diverged and the others raise :class:`RootBracketError`.
     """
     xi = float(spec.fixed["xi"]); omega = float(spec.fixed["omega"])
     nu = spec.fixed.get("nu")
+    coeffs = resolve_penalty(spec) if method == "MPLE" else None
 
-    def diverged(a_rep, nfev):
-        est = DirectParams.scalar(xi, omega, a_rep, nu)
-        return FitResult(method="MLE", estimates=est, loglik_at_opt=loglik(est, data, spec),
-                         diverged=True, converged=True, iterations=nfev, evaluations=nfev)
+    def result(a: float, nfev: int, diverged: bool = False) -> FitResult:
+        est = DirectParams.scalar(xi, omega, a, nu)
+        ll = loglik(est, data, spec)
+        return FitResult(method=method, estimates=est, loglik_at_opt=ll,
+                         penalized_loglik_at_opt=None if coeffs is None
+                         else ll - q_value(coeffs, a * a),
+                         diverged=diverged, iterations=nfev, evaluations=nfev, penalty=coeffs)
 
     z = (data.column(0) - xi) / omega
-    if not penalized and (np.all(z > 0) or np.all(z < 0)):
+    if method == "MLE" and (np.all(z > 0) or np.all(z < 0)):
         # a one-sign sample maximizes the shape-only likelihood at infinity;
         # the sign test is exact where a search could stall on the
         # float-flat plateau short of the threshold
-        return diverged(math.copysign(thr, z[0]), 0)
+        return result(math.copysign(ends[-1], z[0]), 0, diverged=True)
     score = _ShapeScore(z, None if nu is None else float(nu))
-    if penalized:
-        coeffs = resolve_penalty(spec)
+    if method == "MLE":
+        h = score
+    elif method == "MPLE":
         k, c2 = 2.0 * coeffs.c1 * coeffs.c2, coeffs.c2
 
-        def f(a):
+        def h(a):
             s, ds = score(a)
             den = 1.0 + c2 * a * a
             return s - k * a / den, ds - k * (1.0 - c2 * a * a) / (den * den)
-        end = thr + 50.0
     else:
-        f, end = score, thr
+        def h(a):
+            s, ds = score(a)
+            m, dm = _sn_m_and_slope(a)
+            return s + m, ds + dm
     side = float(np.sign(score.w.sum()))
-    a_hat, nfev = 0.0, 0
-    if side != 0.0:
-        f_end = f(side * end)[0]
-        nfev = 1
-        if (f_end < 0.0) if side > 0.0 else (f_end > 0.0):
-            lo, hi = sorted((0.0, side * end))
-            a_hat, n_newton = _safeguarded_newton(f, lo, hi, float(_shape_moment_alpha(z)))
-            nfev += n_newton
-        elif penalized or f_end == 0.0:
-            a_hat = side * end  # the maximum is at the end, or beyond it for the MPLE
-        else:
-            return diverged(side * thr, nfev)
-    est = DirectParams.scalar(xi, omega, a_hat, nu)
-    ll = loglik(est, data, spec)
-    if penalized:
-        return FitResult(method="MPLE", estimates=est, loglik_at_opt=ll,
-                         penalized_loglik_at_opt=ll - q_value(coeffs, a_hat * a_hat),
-                         converged=True, iterations=nfev, evaluations=nfev, penalty=coeffs)
-    return FitResult(method="MLE", estimates=est, loglik_at_opt=ll,
-                     converged=True, iterations=nfev, evaluations=nfev)
+    if side == 0.0:
+        return result(0.0, 0)
+    lo, nfev = 0.0, 0
+    for end in ends:
+        hi = side * end
+        h_hi = h(hi)[0]
+        nfev += 1
+        if h_hi == 0.0:
+            return result(hi, nfev)
+        if h_hi < 0.0 if side > 0.0 else h_hi > 0.0:
+            root, n_newton = _safeguarded_newton(h, *sorted((lo, hi)),
+                                                 float(_shape_moment_alpha(z)))
+            return result(root, nfev + n_newton)
+        lo = hi
+    if method == "MLE":
+        return result(lo, nfev, diverged=True)
+    raise RootBracketError(f"{'penalized' if method == 'MPLE' else 'modified'} score never "
+                           "changed sign", *sorted((0.0, lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,30 +653,27 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
-        return _fit_one_param(data, spec, thr, penalized=False)
+        return _fit_shape_only(data, spec, "MLE", (thr,))
     objective = _neg_loglik_factory(data, spec, fmap, None)
     start = _mom_start(data, spec, fmap)
-    res, nit, nev, stages = _minimize(objective, fmap.pack(start))
+    log = _SearchLog()
+    res = log.minimize(objective, fmap.pack(start))
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
         if fmap.free_xi or fmap.free_scale or fmap.free_nu:
-            params, ll, _, nit2, nev2, stages2 = _fit_alpha_pinned(data, spec, clamped, params)
-            nit += nit2
-            nev += nev2
-            stages += stages2
+            params, ll, _ = _fit_alpha_pinned(data, spec, clamped, params, log)
         else:
             params = replace(params, alpha=clamped)
             ll = -float(objective(fmap.pack(params)[None])[0])
-            nev += 1
+            log.evaluations += 1
         return FitResult(method="MLE", estimates=params, loglik_at_opt=ll,
-                         diverged=True, converged=True, iterations=nit, evaluations=nev,
-                         optimizer_trace=stages, nu_at_bound=_nu_at_bound(objective, fmap, params))
+                         diverged=True, converged=True, **log.fields(),
+                         nu_at_bound=_nu_at_bound(objective, fmap, params))
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("likelihood optimization failed to find a finite optimum")
     return FitResult(method="MLE", estimates=params, loglik_at_opt=-float(res.fun),
-                     converged=bool(res.success or res.status == 2), iterations=nit,
-                     evaluations=nev, optimizer_trace=stages,
+                     converged=bool(res.success or res.status == 2), **log.fields(),
                      nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 
@@ -674,15 +683,16 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
 
     A largest |alpha| beyond the keyword-only ``divergence_threshold``
     means the search ran away from a bad start, so it restarts from zero
-    shape and keeps the better optimum.  The shape-only search runs up to
-    the threshold plus 50.  The penalty coefficients are the model's
+    shape and keeps the better optimum.  The shape-only search doubles its
+    end from the threshold plus 50 until the penalized score changes sign,
+    and never reports an end.  The penalty coefficients are the model's
     (:func:`resolve_penalty`), re-resolved at each candidate nu when nu
     is free.
     """
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
-        return _fit_one_param(data, spec, divergence_threshold, penalized=True)
+        return _fit_shape_only(data, spec, "MPLE", _doublings(divergence_threshold + 50.0))
     if spec.family == "st" and "nu" not in spec.fixed:
         # free nu: the coefficients move with each candidate nu
         penalty_fn = lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
@@ -691,24 +701,22 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
         penalty_fn = lambda a2, nu: q_value(coeffs, a2)
     objective = _neg_loglik_factory(data, spec, fmap, penalty_fn)
     start = _mom_start(data, spec, fmap)
-    res, nit, nev, stages = _minimize(objective, fmap.pack(start))
+    log = _SearchLog()
+    res = log.minimize(objective, fmap.pack(start))
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > divergence_threshold:
         # interior maximum is guaranteed; a runaway means a bad start
         null = replace(start, alpha=np.zeros(spec.dimension))
-        res2, nit2, nev2, stages2 = _minimize(objective, fmap.pack(null))
-        nit += nit2
-        nev += nev2
-        stages += stages2
+        res2 = log.minimize(objective, fmap.pack(null))
         if res2.fun <= res.fun:
             res, params = res2, fmap.unpack(res2.x)
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("penalized optimization failed to find a finite optimum")
     return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
                      penalized_loglik_at_opt=-float(res.fun),
-                     converged=bool(res.success or res.status == 2), iterations=nit,
-                     evaluations=nev, penalty=resolve_penalty(spec, params.nu),
-                     optimizer_trace=stages, nu_at_bound=_nu_at_bound(objective, fmap, params))
+                     converged=bool(res.success or res.status == 2), **log.fields(),
+                     penalty=resolve_penalty(spec, params.nu),
+                     nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +755,7 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
                                 spec.fixed.get("nu"))
     values, oks, starts = [], [], []
     for a in grid:
-        start, val, ok, _, _, _ = _fit_alpha_pinned(data, spec, a, start)
+        start, val, ok = _fit_alpha_pinned(data, spec, a, start, _SearchLog())
         values.append(val)
         oks.append(ok)
         starts.append(start)
@@ -759,7 +767,7 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
     if hi > lo:
         warm = starts[i_best]
         res = optimize.minimize_scalar(
-            lambda a: -_fit_alpha_pinned(data, spec, a, warm)[1],
+            lambda a: -_fit_alpha_pinned(data, spec, a, warm, _SearchLog())[1],
             bounds=(lo, hi), method="bounded", options=dict(xatol=1e-7),
         )
         l_max = max(l_max, -res.fun)
@@ -812,7 +820,7 @@ def sn_m_exact(alpha: float) -> float:
 def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
     """Root of the modified score l'(alpha) + M(alpha) = 0, one-parameter model.
 
-    The root always exists and is finite.  Doubling steps away from zero
+    The root always exists and is finite.  The ends 1, 2, 4, ..., 2^45
     bracket it, and safeguarded Newton steps on the analytic modified
     score and its derivative, started from the moment estimate, locate it.
     """
@@ -821,37 +829,7 @@ def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
     if not (spec.family == "sn" and spec.is_one_param):
         raise ValueError("the modified-score estimator is implemented for the "
                          "one-parameter skew-normal model")
-    y = data.column(0)
-    z = (y - float(spec.fixed["xi"])) / float(spec.fixed["omega"])
-    score = _ShapeScore(z, None)
-
-    def h(a):
-        s, ds = score(a)
-        m, dm = _sn_m_and_slope(a)
-        return s + m, ds + dm
-
-    h0 = h(0.0)[0]
-    if h0 == 0.0:
-        root, nfev = 0.0, 1
-    else:
-        side = 1.0 if h0 > 0 else -1.0
-        lo, hi = 0.0, side
-        h_hi, nfev = h(hi)[0], 2
-        while h_hi * h0 > 0:
-            lo, hi = hi, hi * 2.0
-            if abs(hi) > 2.0**45:
-                raise RootBracketError("modified score never changed sign", min(0, hi), max(0, hi))
-            h_hi = h(hi)[0]
-            nfev += 1
-        if h_hi == 0.0:
-            root = hi
-        else:
-            a, b = (lo, hi) if lo < hi else (hi, lo)
-            root, n_newton = _safeguarded_newton(h, a, b, float(_shape_moment_alpha(z)))
-            nfev += n_newton
-    est = DirectParams.scalar(float(spec.fixed["xi"]), float(spec.fixed["omega"]), root)
-    return FitResult(method="SF", estimates=est, loglik_at_opt=loglik(est, data, spec),
-                     converged=True, iterations=nfev, evaluations=nfev)
+    return _fit_shape_only(data, spec, "SF", _doublings(1.0))
 
 
 def st_m_exact(alpha: float, nu: float) -> float:
@@ -894,8 +872,9 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
 
     The Hessian of the penalized log-likelihood is differenced centrally
     in the direct parameterization; its negative must be positive
-    definite, otherwise :class:`InformationMatrixError` is raised (no
-    silent regularization).  The result is also attached to ``fit``.
+    definite, and every difference point must lie in the parameter space,
+    otherwise :class:`InformationMatrixError` is raised (no silent
+    regularization).  The result is also attached to ``fit``.
     """
     if fit.diverged:
         raise DivergedMLEError("standard errors are undefined for a diverged fit")
@@ -903,12 +882,10 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
         raise OptimizationError("fit did not converge; refusing to compute standard errors")
     coeffs = fit.penalty or resolve_penalty(spec, nu=fit.estimates.nu)
     fmap = _FreeMap(spec)
+    names = fmap.direct_names
 
     def pll(xd):
-        try:
-            params = fmap.direct_unpack(xd)
-        except ValueError:
-            return -_BIG
+        params = fmap.direct_unpack(xd)
         return loglik(params, data, spec) - q_value(coeffs, alpha_star(params) ** 2)
 
     x0 = fmap.direct_pack(fit.estimates)
@@ -921,14 +898,20 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
             xpm = x0.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
             xmp = x0.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
             xmm = x0.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (pll(xpp) - pll(xpm) - pll(xmp) + pll(xmm)) / (4 * h[i] * h[j])
+            try:
+                diff = pll(xpp) - pll(xpm) - pll(xmp) + pll(xmm)
+            except ValueError as exc:  # raised by DirectParams for a point outside the space
+                step = names[i] if i == j else f"{names[i]} and {names[j]}"
+                raise InformationMatrixError(
+                    f"a Hessian point stepped in {step} leaves the parameter space: {exc}") from exc
+            hess[i, j] = hess[j, i] = diff / (4 * h[i] * h[j])
     obs_info = -hess
     try:
         chol = np.linalg.cholesky(obs_info)
     except np.linalg.LinAlgError as exc:
         raise InformationMatrixError(
             f"penalized observed information is not positive definite "
-            f"(free parameters: {fmap.direct_names})") from exc
+            f"(free parameters: {names})") from exc
     inv = np.linalg.inv(obs_info)
     se = np.sqrt(np.diag(inv))
     fit.stderr = se

@@ -156,7 +156,7 @@ def penalized_loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> fl
     return loglik(params, data, spec) - q_value(coeffs, alpha_star(params) ** 2)
 
 
-def score_proportionality_check(data: Dataset, spec: ModelSpec, step: float = 1e-5) -> float:
+def score_proportionality_check(data: Dataset, spec: ModelSpec) -> float:
     """Cosine between the per-observation location and shape scores at alpha = 0.
 
     In the scalar skew-normal model the two score vectors are exactly
@@ -175,9 +175,9 @@ def score_proportionality_check(data: Dataset, spec: ModelSpec, step: float = 1e
         # 2-D rows keep one value per observation, also when n = 1
         return sn_logpdf(data.rows, DirectParams.scalar(xi, omega, alpha))
 
-    h_xi = step * max(1.0, abs(xi0))
+    h_xi = 1e-5 * max(1.0, abs(xi0))
     u_xi = (per_obs(xi0 + h_xi, omega0, alpha0) - per_obs(xi0 - h_xi, omega0, alpha0)) / (2 * h_xi)
-    h_a = step * max(1.0, abs(alpha0))
+    h_a = 1e-5 * max(1.0, abs(alpha0))
     u_alpha = (per_obs(xi0, omega0, alpha0 + h_a) - per_obs(xi0, omega0, alpha0 - h_a)) / (2 * h_a)
     denom = np.linalg.norm(u_xi) * np.linalg.norm(u_alpha)
     if denom == 0:

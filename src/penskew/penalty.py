@@ -140,14 +140,14 @@ class LineFitResult:
         return float(np.abs(self.residuals).max())
 
 
-def line_fit_check(nu_lo: float = 0.25, nu_hi: float = 250.0, points: int = 25) -> LineFitResult:
+def line_fit_check() -> LineFitResult:
     """Least-squares fit of log(e2nu/e2 - 1) on log(nu + gamma) over a log grid.
 
     The fitted line summarizes how the exact skew-t slope coefficient
     decays toward its normal-family limit; intercept ~ log 4 and slope
     ~ -1 back the closed-form approximation used by :func:`st_e2_approx`.
     """
-    nus = np.geomspace(nu_lo, nu_hi, points)
+    nus = np.geomspace(0.25, 250.0, 25)
     e2 = _sn_e2()
     y = np.array([np.log(st_e_coeffs_exact(nu)[1] / e2 - 1.0) for nu in nus])
     x = np.log(nus + EULER_GAMMA)

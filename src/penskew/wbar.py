@@ -16,7 +16,7 @@ from scipy import optimize
 
 from .distributions import Dataset, DirectParams, alpha_star, sample
 from .estimators import DivergedMLEError, FitResult, fit_mle, fit_mple
-from .likelihood import ModelSpec, loglik
+from .likelihood import ModelSpec, loglik, penalized_loglik
 from .penalty import q_value
 
 __all__ = [
@@ -109,6 +109,9 @@ class WbarBracketError(ValueError):
     therefore means one input fit is not the maximum it claims to be,
     except for a skew-t with free nu: l_p at the MLE is then penalized
     at the MPLE's nu, not its own, and that alone can violate the MLE end.
+    The message then gives both gaps, with the coefficients held at the
+    MPLE's nu and at the MLE's own, and blames the MPLE only when the
+    MLE is above it at its own nu too.
     """
 
 
@@ -168,8 +171,17 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     tie1 = not g1 < 0.0 and abs(g1) <= tie
     found = []
     if not (g0 > 0.0 or tie0):
-        found.append("the MPLE is not the penalized maximum: with the MPLE's penalty, "
-                     f"l_p at the MLE exceeds l_p at the MPLE by {-g0 / 2:.3g}")
+        held = f"l_p at the MLE exceeds l_p at the MPLE by {-g0 / 2:.3g}"
+        if spec.family == "st" and "nu" not in spec.fixed:
+            own = penalized_loglik(theta_hat, data, spec) - mple.penalized_loglik_at_opt
+            verdict = ("the MPLE is not the penalized maximum" if own > 0 else
+                       "the bracket fails only because the coefficients are held fixed")
+            found.append(f"{verdict}: with the coefficients held at the MPLE's "
+                         f"nu = {theta_tilde.nu:.3g}, {held}; with those at the MLE's own "
+                         f"nu = {theta_hat.nu:.3g}, l_p at the MLE is {abs(own):.3g} "
+                         f"{'above' if own > 0 else 'below'} l_p at the MPLE")
+        else:
+            found.append(f"the MPLE is not the penalized maximum: with the MPLE's penalty, {held}")
     if not (g1 < 0.0 or tie1):
         found.append("the MLE is not the maximum: "
                      f"l at the MPLE exceeds l at the MLE by {g1 / 2:.3g}")

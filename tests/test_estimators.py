@@ -13,6 +13,8 @@ from penskew.estimators import (
     _LOG_NU_BOUNDS,
     DivergedMLEError,
     FitResult,
+    InformationMatrixError,
+    RootBracketError,
     _FreeMap,
     _neg_loglik_factory,
     fit_mle,
@@ -160,6 +162,32 @@ class TestFitMple:
             gaps[n] = np.median(g)
         assert gaps[100] / gaps[1000] > 5.0
 
+    @staticmethod
+    def tiny_scale_sample():
+        # against omega = 1 these 20 positive values are nearly at zero: the
+        # penalized score keeps its sign from 0.03 to past the threshold plus 50
+        return Dataset(np.random.default_rng(3).uniform(0.0005, 0.005, 20))
+
+    def test_shape_only_search_goes_past_its_first_end(self):
+        data = self.tiny_scale_sample()
+        fit = fit_mple(data, ONE_PARAM)
+        a = float(fit.estimates.alpha[0])
+        assert a > 150.0  # a search that stops at its first end gives 150, l_p = -21.90
+        s, scale = shape_score(data, ONE_PARAM, a)
+        assert abs(s - q_prime(fit.penalty, a)) <= 1e-9 * (1.0 + scale)
+        assert fit.penalized_loglik_at_opt >= -17.34
+        # the penalized maximum at alpha ~ 1046 beats the lower local one near 0.03
+        grid = np.concatenate([np.linspace(0.0, 1.0, 101), np.geomspace(1.0, 1e5, 401)])
+        at_grid = [penalized_loglik(DirectParams.scalar(0.0, 1.0, g), data, ONE_PARAM)
+                   for g in grid]
+        assert fit.penalized_loglik_at_opt >= max(at_grid) - 1e-9
+
+    def test_shape_only_search_raises_when_the_sign_never_changes(self, monkeypatch):
+        # with the ends cut to 150 and 300 the penalized score never changes sign
+        monkeypatch.setattr(estimators, "_doublings", lambda first: [first, 2.0 * first])
+        with pytest.raises(RootBracketError, match="penalized score never changed sign"):
+            fit_mple(self.tiny_scale_sample(), ONE_PARAM)
+
 
 class TestFitSf:
     def test_positive_sample_finite_root(self):
@@ -258,6 +286,19 @@ class TestStderr:
         se = stderr_from_penalized_info(fit, data, THREE_PARAM)
         assert se.shape == (3,)
         assert np.all(se > 0) and np.all(np.isfinite(se))
+
+    def test_refuses_difference_points_outside_the_parameter_space(self):
+        # two nearly collinear columns: the MPLE's Omega is so close to singular
+        # that the Hessian's steps in omega_11 leave the positive definite cone
+        rng = np.random.default_rng(0)
+        x = sample(DirectParams.scalar(0.0, 1.0, 3.0), 60, rng).rows[:, 0]
+        data = Dataset(np.column_stack([x, x + 0.01 * rng.normal(size=60)]))
+        spec = ModelSpec(family="sn", dimension=2)
+        fit = fit_mple(data, spec)
+        with pytest.raises(InformationMatrixError,
+                           match="stepped in xi_1 and omega_11 leaves the parameter space"):
+            stderr_from_penalized_info(fit, data, spec)
+        assert fit.stderr is None
 
 
 FREE_MAP_SN1 = DirectParams.scalar(0.3, 1.7, -2.2)

@@ -254,7 +254,8 @@ class TestRootSearch:
     def test_free_nu_violation_comes_from_the_held_coefficients(self):
         # st_free sample (seed 402, key (1, 10)): penalized at its own nu-hat = 7.07 the
         # MLE is 0.141 below the MPLE in l_p; only with the MPLE's coefficients, held at
-        # nu-tilde = 5.73, is it 0.0066 above, and that is the violation fit_wbar reports
+        # nu-tilde = 5.73, is it 0.0066 above, and the error says so instead of
+        # blaming the MPLE
         spec = ModelSpec(family="st", dimension=1)
         data = sample(ST_TRUTH, 200, seeded(402, 1, 10))
         mle, mple = fit_mle(data, spec), fit_mple(data, spec)
@@ -268,9 +269,19 @@ class TestRootSearch:
         gap = held - mple.penalized_loglik_at_opt
         assert gap == pytest.approx(0.0066, abs=5e-5)
         with pytest.raises(WbarBracketError,
-                           match="the MPLE is not the penalized maximum") as err:
+                           match="fails only because the coefficients are held fixed") as err:
             fit_wbar(data, spec, mle, mple)
-        assert f"by {gap:.3g}" in str(err.value)
+        message = str(err.value)
+        assert "the MPLE is not the penalized maximum" not in message
+        assert (f"held at the MPLE's nu = {mple.estimates.nu:.3g}, l_p at the MLE exceeds "
+                f"l_p at the MPLE by {gap:.3g}") in message
+        assert (f"at the MLE's own nu = {mle.estimates.nu:.3g}, l_p at the MLE is "
+                f"{mple.penalized_loglik_at_opt - own:.3g} below l_p at the MPLE") in message
+        # an MPLE below the MLE at the MLE's own nu too is blamed
+        short = dataclasses.replace(mple, penalized_loglik_at_opt=own - 0.5)
+        with pytest.raises(WbarBracketError, match="the MPLE is not the penalized maximum") as err:
+            fit_wbar(data, spec, mle, short)
+        assert "l_p at the MLE is 0.5 above l_p at the MPLE" in str(err.value)
 
     def test_bracket_violation_names_the_mle(self, finite_fits):
         data, mle, mple = finite_fits
