@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .distributions import Dataset, DirectParams, sample
-from .estimators import (fit_mle, fit_mple, fit_sf_one_param, profile_deviance,
-                         stderr_from_penalized_info)
+from .estimators import (_check_divergence_threshold, fit_mle, fit_mple, fit_sf_one_param,
+                         profile_deviance, stderr_from_penalized_info)
 from .likelihood import ModelSpec
 from .montecarlo import StudyConfig, run_study
 from .penalty import sn_coeffs, st_coeffs, st_e2_approx, st_e_coeffs_exact, sn_e_coeffs
@@ -43,6 +43,13 @@ def _parse_fixed(pairs):
         name, value = pair.split("=", 1)
         fixed[name.strip()] = float(value)
     return fixed
+
+
+def _divergence_threshold(text: str) -> float:
+    try:
+        return _check_divergence_threshold(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _ensure_seed(seed):
@@ -82,6 +89,9 @@ def _cmd_fit(args) -> int:
     for name, fit in fits.items():
         print(f"{name}: {fit.iterations} iterations, {fit.evaluations} log-likelihood "
               "evaluations", file=sys.stderr)
+        for stage, iterations, value in fit.optimizer_trace or ():
+            print(f"  {name} stage {stage}: {iterations} iterations, objective {value:.10g}",
+                  file=sys.stderr)
         if fit.nu_at_bound:
             print(f"warning: {name} nu = {fit.estimates.nu:.6g} is at an edge of its search "
                   "range [0.1, 1e6]; the likelihood cannot tell it from the edge",
@@ -218,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pin a component, e.g. --fix nu=4 (repeatable)")
     p_fit.add_argument("--stderr", action="store_true",
                        help="attach penalized-information standard errors to the MPLE")
-    p_fit.add_argument("--divergence-threshold", type=float, default=100.0)
+    p_fit.add_argument("--divergence-threshold", type=_divergence_threshold, default=100.0)
     p_fit.add_argument("--seed", type=int, default=None,
                        help="recorded in the report for provenance")
     p_fit.add_argument("--out", default=None)
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ws.add_argument("--n", type=int, required=True)
     p_ws.add_argument("--alpha", type=float, required=True)
     p_ws.add_argument("--seed", type=int, default=None)
-    p_ws.add_argument("--divergence-threshold", type=float, default=100.0)
+    p_ws.add_argument("--divergence-threshold", type=_divergence_threshold, default=100.0)
     p_ws.add_argument("--out", default=None)
     p_ws.set_defaults(func=_cmd_wscatter)
 

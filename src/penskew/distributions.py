@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg, special
+from scipy.linalg.lapack import dtrtrs
 
 from .specfun import t_logcdf, zeta0
 
@@ -225,9 +226,30 @@ def _check_x(x, d):
 
 
 def _mahalanobis_and_logdet(v, omega_mat):
+    """Squared Mahalanobis distances of the rows of ``v``, and log det Omega.
+
+    ``v`` (n, d) and ``omega_mat`` (d, d) give n distances and one
+    log-determinant; stacks (m, n, d) and (m, d, d) give (m, n) and (m,).
+    One Cholesky call factors the stack; each triangular solve is LAPACK's
+    trtrs on one matrix, called as ``scipy.linalg.solve_triangular(chol,
+    v.T, lower=True)`` calls it, so every member of a stack is bit-equal to
+    its own call.  Raises ``LinAlgError`` when a matrix is not positive
+    definite and ``ValueError`` on non-finite input.
+    """
     chol = np.linalg.cholesky(omega_mat)
-    sol = linalg.solve_triangular(chol, v.T, lower=True)
-    return np.sum(sol * sol, axis=0), 2.0 * np.sum(np.log(np.diag(chol)))
+    if not (np.isfinite(chol).all() and np.isfinite(v).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    n, d = v.shape[-2:]
+    chols = chol.reshape(-1, d, d)
+    sols = []
+    for c, w in zip(chols, v.reshape(len(chols), n, d)):
+        sol, info = dtrtrs(c.T, w.T, lower=0, trans=1)
+        if info:
+            raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
+        sols.append(sol)
+    sol = np.array(sols).reshape(len(chols), d, n)  # also for an empty stack
+    qx = np.sum(sol * sol, axis=-2).reshape(v.shape[:-1])
+    return qx, 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 def sn_logpdf(x, params: DirectParams):

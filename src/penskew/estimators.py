@@ -6,7 +6,9 @@ Optimization runs in transformed coordinates (log scale, log nu, raw
 shape) from a method-of-moments start: a quasi-Newton pass whose value
 and central-difference gradient come from one evaluation of the point
 and its 2k neighbours as a single stack, with a simplex fallback when
-it stalls.  For d = 1 the stack shares one vectorized log-density pass.
+it stalls.  The stack shares one vectorized log-density pass: over an
+(m x n) array for d = 1, through one stacked Cholesky factorization for
+d > 1.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
 alpha plus the estimator's correction.
@@ -116,6 +118,8 @@ class FitResult:
             "converged": self.converged,
             "iterations": self.iterations,
             "evaluations": self.evaluations,
+            "optimizer_trace": (None if self.optimizer_trace is None
+                                else [list(stage) for stage in self.optimizer_trace]),
             "nu_at_bound": self.nu_at_bound,
         }
         if est.d == 1:
@@ -189,10 +193,12 @@ class _FreeMap:
         return chol[self._tril]
 
     def _from_log_cholesky(self, block: np.ndarray) -> np.ndarray:
-        chol = np.zeros((self.d, self.d))
-        chol[self._tril] = block
-        chol[np.diag_indices(self.d)] = np.exp(np.diag(chol).copy())
-        return chol @ chol.T
+        """Omega = C C' of a log-Cholesky block, or of each row of a stack of them."""
+        chol = np.zeros(block.shape[:-1] + (self.d, self.d))
+        chol[..., self._tril[0], self._tril[1]] = block
+        diag = np.diag_indices(self.d)
+        chol[..., diag[0], diag[1]] = np.exp(chol[..., diag[0], diag[1]])
+        return chol @ np.swapaxes(chol, -1, -2)
 
     def _from_vech(self, block: np.ndarray) -> np.ndarray:
         omega_mat = np.zeros((self.d, self.d))
@@ -253,6 +259,26 @@ class _FreeMap:
             nu = [None if self.spec.family == "sn" else float(self.spec.fixed["nu"])] * m
         return list(zip(xi, omega, alpha, nu))
 
+    def stack(self, X: np.ndarray) -> tuple:
+        """(xi, omega_mat, alpha, nu) of each row of a d > 1 stack X.
+
+        xi and alpha are (m, d) arrays, omega_mat is (m, d, d) and nu a
+        list of m floats, or of None for the skew-normal.  Each row
+        decodes bit for bit as :meth:`unpack` decodes it; an exp that
+        overflows decodes as inf.
+        """
+        m, d = len(X), self.d
+        xi = X[:, self._xi] if self.free_xi else np.broadcast_to(self._fixed_xi(), (m, d))
+        omega_mat = (self._from_log_cholesky(X[:, self._scale]) if self.free_scale
+                     else np.broadcast_to(self._fixed_omega_mat(), (m, d, d)))
+        alpha = (X[:, self._alpha] if self.free_alpha
+                 else np.broadcast_to(self._fixed_alpha(), (m, d)))
+        if self.free_nu:
+            nu = [_exp_or_inf(v) for v in X[:, -1].tolist()]
+        else:
+            nu = [None if self.spec.family == "sn" else float(self.spec.fixed["nu"])] * m
+        return xi, omega_mat, alpha, nu
+
 
 # ---------------------------------------------------------------------------
 # objectives and generic optimization
@@ -278,14 +304,15 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     The objective maps X (m x p, one free vector per row) to the m values
     of minus the (penalized) log-likelihood.  ``penalty`` maps
     (alpha_star_sq, nu) to the penalty value, or None for the plain
-    likelihood.  Invalid rows get a large value.  For d = 1 the valid rows
-    share one log-density pass over an (m x n) array, one pass per
-    distinct nu in the skew-t family; each row's value is bit-equal to
-    that of a pass of its own.  For d > 1 the rows are evaluated in turn.
+    likelihood.  Invalid rows get a large value.  The valid rows share one
+    log-density pass, one per distinct nu in the skew-t family: for d = 1
+    over an (m x n) array; for d > 1 through one stacked Cholesky
+    factorization (row by row if a matrix fails it) and one triangular
+    solve per row.  Each row's value is bit-equal to that of a pass of its
+    own.
     """
     if spec.dimension > 1:
-        point = _mv_neg_loglik_factory(data, spec, fmap, penalty)
-        return lambda X: np.array([point(x) for x in X])
+        return _mv_objective(data.rows, spec, fmap, penalty)
     y = data.column(0)
 
     def objective(X):
@@ -310,42 +337,60 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     return objective
 
 
-def _mv_neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
-                           penalty: Callable | None) -> Callable:
-    """One-vector objective of :func:`_neg_loglik_factory` for d > 1."""
-    rows = data.rows
-    log_scale = fmap._log_scale[1]
+def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
+                  penalty: Callable | None) -> Callable:
+    """The d > 1 objective of :func:`_neg_loglik_factory` on the sample ``rows``."""
+    (n, d), flat = rows.shape, rows.reshape(-1)
 
-    def objective(x):
+    def objective(X):
+        out = np.full(len(X), _BIG)
+        xi, omega_mat, alpha, nu = fmap.stack(X)
+        diag = np.diagonal(omega_mat, axis1=1, axis2=2)
+        ok = np.all((diag > 1e-12) & (diag <= 1e12), axis=1)  # NaN fails both
+        if fmap.free_nu:
+            ok &= np.array([_nu_in_range(v) for v in nu], dtype=bool)
+        idx = np.flatnonzero(ok)
+        # the sample flattened to n d values and each row's xi (and below its
+        # omegas) tiled to match: the elementwise passes run along n d values
+        v = flat - np.tile(xi[idx], n)
         try:
-            xi, omega_mat, alpha, nu = fmap._split(x, log_scale, math.exp)
-        except (OverflowError, ValueError):
-            return _BIG
-        if fmap.free_nu and not _nu_in_range(nu):
-            return _BIG
-        diag = np.diag(omega_mat)
-        if not np.all(np.isfinite(diag)) or np.any(diag <= 1e-12) or np.any(diag > 1e12):
-            return _BIG
-        v = rows - xi
-        try:
-            qx, logdet = _mahalanobis_and_logdet(v, omega_mat)
+            qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat[idx])
         except np.linalg.LinAlgError:
-            return _BIG
-        omega_diag = np.sqrt(diag)
-        u = (v / omega_diag) @ alpha
+            # factor row by row, so that only the rows that fail keep _BIG
+            keep = [_factors(omega_mat[i]) for i in idx]
+            idx, v = idx[keep], v[keep]
+            qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat[idx])
+        omega_diag = np.sqrt(diag[idx])
+        w = alpha[idx] / omega_diag
+        u = np.matmul((v / np.tile(omega_diag, n)).reshape(-1, n, d), alpha[idx, :, None])[..., 0]
         if spec.family == "sn":
-            ll = float(np.sum(-0.5 * spec.dimension * np.log(2 * np.pi) - 0.5 * logdet
-                              - 0.5 * qx + np.log(2.0) + special.log_ndtr(u)))
+            ll = np.sum(-0.5 * d * np.log(2 * np.pi) - 0.5 * logdet[:, None] - 0.5 * qx
+                        + np.log(2.0) + special.log_ndtr(u), axis=-1)
         else:
-            ll = float(np.sum(_st_log_terms(qx, logdet, u, spec.dimension, nu)))
-        if not np.isfinite(ll):
-            return _BIG
-        if penalty is not None:
-            w = alpha / omega_diag
-            ll -= penalty(float(w @ omega_mat @ w), nu)
-        return -ll
+            ll = np.empty(len(idx))
+            groups = {}  # nu -> positions in idx
+            for j, i in enumerate(idx.tolist()):
+                groups.setdefault(nu[i], []).append(j)
+            for value, sel in groups.items():
+                ll[sel] = np.sum(_st_log_terms(qx[sel], logdet[sel, None], u[sel], d, value),
+                                 axis=-1)
+        for j, (i, value) in enumerate(zip(idx.tolist(), ll.tolist())):
+            if math.isfinite(value):
+                if penalty is not None:
+                    value -= penalty(float(w[j] @ omega_mat[i] @ w[j]), nu[i])
+                out[i] = -value
+        return out
 
     return objective
+
+
+def _factors(omega_mat: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(omega_mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _bfgs(objective, x0):
@@ -640,6 +685,13 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
 # public fits
 
 
+def _check_divergence_threshold(value: float) -> float:
+    """``value``, or ValueError naming it when it is not a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"divergence_threshold must be positive and finite, got {value!r}")
+    return value
+
+
 def fit_mle(data: Dataset, spec: ModelSpec, *,
             divergence_threshold: float = 100.0) -> FitResult:
     """Maximum likelihood fit with divergence detection.
@@ -649,7 +701,7 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     clamped at the threshold (with the other free parameters
     re-maximized there), never at infinity.
     """
-    thr = divergence_threshold
+    thr = _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
@@ -689,6 +741,7 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
     (:func:`resolve_penalty`), re-resolved at each candidate nu when nu
     is free.
     """
+    _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:

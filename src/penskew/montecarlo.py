@@ -19,7 +19,8 @@ from io import StringIO
 import numpy as np
 
 from .distributions import Dataset, DirectParams, sample
-from .estimators import _FreeMap, fit_mle, fit_mple, fit_sf_one_param
+from .estimators import (_FreeMap, _check_divergence_threshold, fit_mle, fit_mple,
+                         fit_sf_one_param)
 from .likelihood import ModelSpec
 from .wbar import fit_wbar
 
@@ -75,6 +76,7 @@ class StudyConfig:
         object.__setattr__(self, "fixed", dict(self.fixed))
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        _check_divergence_threshold(self.divergence_threshold)
         for e in self.estimators:
             if e not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {e!r}")

@@ -74,6 +74,24 @@ class TestFitCommand:
         a = json.loads(out.read_text())["fits"]["mple"]["estimates"]["alpha"][0]
         assert abs(a - 3.0) < 0.5
 
+    def test_optimizer_stages_on_stderr_and_in_the_report(self, tmp_path, capsys):
+        # an all-positive sample: the 3-parameter MLE diverges and is re-fitted
+        # at the clamped shape, so its trace has more than one stage
+        rng = np.random.default_rng(8)
+        csv = write_csv(tmp_path / "pos.csv", np.abs(rng.normal(size=50)) + 0.01)
+        out = tmp_path / "fit.json"
+        assert main(["fit", csv, "--estimator", "all", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        fits = json.loads(out.read_text())["fits"]
+        assert len(fits["mle"]["optimizer_trace"]) >= 2
+        for name in ("mle", "mple"):
+            fit = fits[name]
+            lines = [f"{name}: {fit['iterations']} iterations, {fit['evaluations']} "
+                     "log-likelihood evaluations"]
+            lines += [f"  {name} stage {stage}: {nit} iterations, objective {value:.10g}"
+                      for stage, nit, value in fit["optimizer_trace"]]
+            assert "\n".join(lines) + "\n" in err
+
 
 class TestCoeffsCommand:
     def test_table_with_infinity_row(self, tmp_path):

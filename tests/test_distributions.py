@@ -2,11 +2,12 @@ import io
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 from penskew.distributions import (
     Dataset,
     DirectParams,
+    _mahalanobis_and_logdet,
     alpha_star,
     canonical_matrix,
     canonical_transform,
@@ -102,6 +103,39 @@ class TestSnLogpdf:
     def test_rejects_skew_t_params(self):
         with pytest.raises(ValueError):
             sn_logpdf([0.0], DirectParams.scalar(0, 1, 0, nu=3.0))
+
+
+class TestMahalanobisAndLogdet:
+    """The stack-aware helper against scipy's solve_triangular, one matrix at a time."""
+
+    @staticmethod
+    def reference(v, omega_mat):
+        chol = np.linalg.cholesky(omega_mat)
+        sol = linalg.solve_triangular(chol, v.T, lower=True)
+        return np.sum(sol * sol, axis=0), 2.0 * np.sum(np.log(np.diag(chol)))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_each_member_of_a_stack_is_its_own_call(self, d, rng):
+        a = rng.normal(size=(7, d, d))
+        omega = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
+        scales = np.array([1e-3, 1.0, 1e3, 1.0, 1.0, 2.0, 0.5])
+        v = rng.normal(size=(7, 40, d)) * scales[:, None, None]
+        qx, logdet = _mahalanobis_and_logdet(v, omega)
+        assert qx.shape == (7, 40) and logdet.shape == (7,)
+        for i in range(7):
+            q1, ld1 = _mahalanobis_and_logdet(v[i], omega[i])
+            q0, ld0 = self.reference(v[i], omega[i])
+            assert np.array_equal(qx[i], q1) and np.array_equal(q1, q0)
+            assert logdet[i] == ld1 == ld0
+
+    def test_keeps_the_errors_of_the_reference(self):
+        v = np.ones((3, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            _mahalanobis_and_logdet(v, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _mahalanobis_and_logdet(np.array([[np.inf, 0.0]]), np.eye(2))
+        qx, logdet = _mahalanobis_and_logdet(np.empty((0, 2)), np.eye(2))
+        assert qx.shape == (0,) and logdet == 0.0
 
 
 class TestStLogpdf:

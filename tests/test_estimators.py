@@ -1,12 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy import optimize, special
+from scipy import linalg, optimize, special
 
-from penskew.distributions import (Dataset, DirectParams, _mahalanobis_and_logdet,
-                                   _st_log_terms, sample, st_logpdf)
+from penskew.distributions import Dataset, DirectParams, _st_log_terms, sample, st_logpdf
 from penskew import estimators
 from penskew.estimators import (
     _BIG,
@@ -513,6 +513,7 @@ def test_newton_derivatives_match_central_differences():
 # the divergence threshold is the one settable fit value
 
 THRESHOLD = 8.0
+BAD_THRESHOLDS = [-1.0, 0.0, math.nan, math.inf]
 # (spec, n, rep): replicate ``rep`` of SeedSequence(411, spawn_key=(n, rep))
 # from alpha = 5 has a finite MLE with THRESHOLD < |alpha-hat| < 100
 BETWEEN = {
@@ -570,6 +571,43 @@ class TestDivergenceThreshold:
         with pytest.raises(TypeError):
             fit(data, spec, THRESHOLD)
 
+    @staticmethod
+    def refusal(value):
+        return re.escape(f"divergence_threshold must be positive and finite, got {value!r}")
+
+    @pytest.mark.parametrize("value", BAD_THRESHOLDS)
+    @pytest.mark.parametrize("fit", [fit_mle, fit_mple])
+    def test_fits_reject_a_non_positive_or_non_finite_threshold(self, fit, value):
+        # with -1 the shape-only MLE of this positively skewed sample was reported
+        # diverged at alpha = -1, and NaN failed with "parameters must be finite"
+        data = Dataset(np.random.default_rng(1).normal(size=30) + 0.5)
+        for spec in (ONE_PARAM, THREE_PARAM):
+            with pytest.raises(ValueError, match=self.refusal(value)):
+                fit(data, spec, divergence_threshold=value)
+
+    @pytest.mark.parametrize("value", BAD_THRESHOLDS)
+    def test_w_scatter_and_study_config_reject_it(self, value):
+        from penskew.montecarlo import StudyConfig
+        from penskew.wbar import emit_w_scatter
+        with pytest.raises(ValueError, match=self.refusal(value)):
+            emit_w_scatter(2, 20, 3.0, 5, divergence_threshold=value)
+        with pytest.raises(ValueError, match=self.refusal(value)):
+            StudyConfig(true_params=DirectParams.scalar(0.0, 1.0, 5.0), sample_sizes=(20,),
+                        replicates=1, base_seed=411, divergence_threshold=value)
+
+    @pytest.mark.parametrize("text", ["-1", "0", "nan", "inf"])
+    def test_cli_flags_reject_it(self, text, tmp_path, capsys):
+        from penskew.cli import main
+        csv = tmp_path / "y.csv"
+        between_sample("3p")[0].to_csv(csv)
+        for args in (["fit", str(csv)], ["wscatter", "--reps", "2", "--n", "20", "--alpha", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*args, f"--divergence-threshold={text}"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --divergence-threshold: divergence_threshold must be positive" in err
+            assert repr(float(text)) in err
+
 
 class TestOptimizerTrace:
     @staticmethod
@@ -595,10 +633,25 @@ class TestOptimizerTrace:
         self.check_stages(fit)
         assert len(fit.optimizer_trace) >= 2  # the re-fit at the clamped shape ran too
 
+    def test_json_report_lists_the_stages(self):
+        fit = fit_mle(all_positive_sample(5.0, 50, 2), THREE_PARAM)
+        trace = json.loads(json.dumps(fit.to_json_dict()))["optimizer_trace"]
+        assert trace == [[name, nit, value] for name, nit, value in fit.optimizer_trace]
+        shape_only = fit_mle(sn_sample(2.0, 60, seed=seeded(14, 1)), ONE_PARAM)
+        assert shape_only.optimizer_trace is None
+        assert shape_only.to_json_dict()["optimizer_trace"] is None
+
 
 # ---------------------------------------------------------------------------
 # the batch objective and one-pass BFGS against the per-point objective and
 # the central-difference gradient they replaced
+
+
+def point_mahalanobis_and_logdet(v, omega_mat):
+    """One matrix's squared Mahalanobis distances and log det, through solve_triangular."""
+    chol = np.linalg.cholesky(omega_mat)
+    sol = linalg.solve_triangular(chol, v.T, lower=True)
+    return np.sum(sol * sol, axis=0), 2.0 * np.sum(np.log(np.diag(chol)))
 
 
 def point_objective(data, spec, fmap, penalty):
@@ -630,7 +683,7 @@ def point_objective(data, spec, fmap, penalty):
                 return _BIG
             v = rows - xi
             try:
-                qx, logdet = _mahalanobis_and_logdet(v, omega_mat)
+                qx, logdet = point_mahalanobis_and_logdet(v, omega_mat)
             except np.linalg.LinAlgError:
                 return _BIG
             omega_diag = np.sqrt(diag)
@@ -688,7 +741,14 @@ BATCH_CLASSES = {
     "st_pin": (BATCH_TRUTH_ST1, ModelSpec(family="st", fixed={"nu": 4.0})),
     "st_free": (BATCH_TRUTH_ST1, ModelSpec(family="st")),
     "d2": (FREE_MAP_SN2, ModelSpec(dimension=2)),
+    "d2_st_pin": (FREE_MAP_ST2, ModelSpec(family="st", dimension=2, fixed={"nu": 5.0})),
+    "d2_st_free": (FREE_MAP_ST2, ModelSpec(family="st", dimension=2)),
+    "d2_xi_pinned": (FREE_MAP_SN2, ModelSpec(dimension=2, fixed={"xi": FREE_MAP_SN2.xi})),
+    "d2_alpha_pinned": (FREE_MAP_SN2, ModelSpec(dimension=2, fixed={"alpha": FREE_MAP_SN2.alpha})),
 }
+
+
+CHOLESKY_FAILS = "Cholesky fails"
 
 
 def invalid_rows(fmap, x):
@@ -700,6 +760,17 @@ def invalid_rows(fmap, x):
                             ("omega above 1e6", math.log(2e6)), ("exp overflow", 400.0)):
             out[name] = x.copy()
             out[name][k] = value
+    if fmap.free_scale and fmap.d > 1:
+        k = fmap.direct_names.index("omega_11")  # log C_11 of the log-Cholesky block
+        for name, value in (("Omega_11 at most 1e-12", math.log(1e-7)),
+                            ("Omega_11 above 1e12", math.log(2e6)),
+                            ("log-diagonal exp overflow", 800.0)):
+            out[name] = x.copy()
+            out[name][k] = value
+        # C = [[1, 0], [1e5, e^-30]]: Omega's diagonal is in range, but C C' rounds
+        # to a singular matrix, so only this row of the stack fails the factorization
+        out[CHOLESKY_FAILS] = x.copy()
+        out[CHOLESKY_FAILS][k:k + 3] = (0.0, 1e5, -30.0)
     if fmap.free_alpha and fmap.d == 1:
         out["|alpha| above 1e7"] = x.copy()
         out["|alpha| above 1e7"][fmap.direct_names.index("alpha")] = -2e7
@@ -729,11 +800,19 @@ def test_batch_objective_equals_per_point_objective(name, penalized):
     bad = invalid_rows(fmap, x)
     X = np.vstack([random_rows, *bad.values()]) if bad else random_rows
     point = point_objective(data, spec, fmap, penalty)
+    objective = _neg_loglik_factory(data, spec, fmap, penalty)
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite row overflows
-        batch = _neg_loglik_factory(data, spec, fmap, penalty)(X)
+        batch = objective(X)
         assert np.array_equal(batch, [point(row) for row in X])
     assert np.all(batch[:len(random_rows)] < _BIG)
     assert np.all(batch[len(random_rows):] == _BIG), sorted(bad)
+    # the valid rows alone take the one stacked factorization, and agree too
+    assert np.array_equal(objective(random_rows), batch[:len(random_rows)])
+    if CHOLESKY_FAILS in bad:
+        omega_mat = fmap._from_log_cholesky(bad[CHOLESKY_FAILS][fmap._scale])
+        assert np.all((np.diag(omega_mat) > 1e-12) & (np.diag(omega_mat) <= 1e12))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(omega_mat)
 
 
 TRUTH5 = DirectParams.scalar(0.0, 1.0, 5.0)
@@ -748,6 +827,8 @@ ORACLE_FITS = {
     "d2": (DirectParams(xi=np.zeros(2), omega_mat=np.array([[1.0, 0.5], [0.5, 1.0]]),
                         alpha=np.array([3.0, -1.0])), ModelSpec(dimension=2),
            100, seeded(20260811, 2, 0)),
+    "d2_st_pin": (FREE_MAP_ST2, ModelSpec(family="st", dimension=2, fixed={"nu": 5.0}),
+                  100, seeded(20260811, 3, 0)),
 }
 
 
