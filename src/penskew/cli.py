@@ -74,7 +74,7 @@ def _cmd_fit(args) -> int:
         if "mle" in wanted:
             fits["mle"] = mle
     if "mple" in wanted or "wbar" in wanted:
-        mple = fit_mple(data, spec, divergence_threshold=args.divergence_threshold)
+        mple = fit_mple(data, spec)
         if args.stderr:
             stderr_from_penalized_info(mple, data, spec)
         if "mple" in wanted:
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pin a component, e.g. --fix nu=4 (repeatable)")
     p_fit.add_argument("--stderr", action="store_true",
                        help="attach penalized-information standard errors to the MPLE")
-    p_fit.add_argument("--divergence-threshold", type=_divergence_threshold, default=100.0)
+    p_fit.add_argument("--divergence-threshold", type=_divergence_threshold, default=100.0,
+                       help="|alpha| beyond which an MLE counts as diverged (default 100)")
     p_fit.add_argument("--seed", type=int, default=None,
                        help="recorded in the report for provenance")
     p_fit.add_argument("--out", default=None)
@@ -274,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ws.add_argument("--n", type=int, required=True)
     p_ws.add_argument("--alpha", type=float, required=True)
     p_ws.add_argument("--seed", type=int, default=None)
-    p_ws.add_argument("--divergence-threshold", type=_divergence_threshold, default=100.0)
+    p_ws.add_argument("--divergence-threshold", type=_divergence_threshold, default=100.0,
+                      help="|alpha| beyond which an MLE counts as diverged (default 100)")
     p_ws.add_argument("--out", default=None)
     p_ws.set_defaults(func=_cmd_wscatter)
 

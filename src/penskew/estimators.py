@@ -3,12 +3,12 @@ modified-score estimator, the profile deviance in the shape, and
 standard errors from the penalized observed information.
 
 Optimization runs in transformed coordinates (log scale, log nu, raw
-shape) from a method-of-moments start: a quasi-Newton pass whose value
-and central-difference gradient come from one evaluation of the point
-and its 2k neighbours as a single stack, with a simplex fallback when
-it stalls.  The stack shares one vectorized log-density pass: over an
-(m x n) array for d = 1, through one stacked Cholesky factorization for
-d > 1.
+shape) from a method-of-moments start: one quasi-Newton search whose
+value and central-difference gradient come from one evaluation of the
+point and its 2k neighbours as a single stack; its status says whether
+the fit converged.  The stack shares one vectorized log-density pass:
+over an (m x n) array for d = 1, through one stacked Cholesky
+factorization for d > 1.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
 alpha plus the estimator's correction.
@@ -417,36 +417,32 @@ def _bfgs(objective, x0):
 
 @dataclass
 class _SearchLog:
-    """Iterations, objective rows and (name, iterations, value) stages of a fit's searches."""
+    """Iterations, objective rows, (name, iterations, value) stages and
+    convergence of a fit's searches; ``converged`` is the latest one's."""
 
     iterations: int = 0
     evaluations: int = 0
     stages: list = field(default_factory=list)
+    converged: bool = True
 
     def fields(self) -> dict:
         return dict(iterations=self.iterations, evaluations=self.evaluations,
-                    optimizer_trace=self.stages)
-
-    def _stage(self, name: str, res):
-        self.iterations += res.nit
-        self.stages.append((name, int(res.nit), float(res.fun)))
-        return res
+                    optimizer_trace=self.stages, converged=self.converged)
 
     def minimize(self, objective, x0):
-        """Quasi-Newton pass on central-difference gradients, simplex fallback."""
+        """One quasi-Newton search on central-difference gradients.
+
+        It converged when it succeeded or stopped on status 2, "precision
+        loss", which is common and benign at flat optima.
+        """
         def counted(X):
             self.evaluations += len(X)
             return objective(X)
 
-        res = self._stage("bfgs", _bfgs(counted, x0))
-        if not res.success and res.status not in (0, 2):
-            # status 2 is "precision loss", common and benign at flat optima
-            nm = self._stage("nelder-mead", optimize.minimize(
-                lambda x: counted(x[None])[0], x0, method="Nelder-Mead",
-                options=dict(maxiter=200 * len(x0), xatol=1e-8, fatol=1e-10)))
-            if nm.fun < res.fun:
-                res2 = self._stage("bfgs", _bfgs(counted, nm.x))
-                res = res2 if res2.fun <= nm.fun else nm
+        res = _bfgs(counted, x0)
+        self.iterations += res.nit
+        self.stages.append(("bfgs", int(res.nit), float(res.fun)))
+        self.converged = bool(res.success or res.status == 2)
         return res
 
 
@@ -454,13 +450,13 @@ def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams
     """Plain-likelihood maximum over the free parameters of ``spec`` other than alpha.
 
     Alpha is pinned at ``alpha`` and the search starts from ``start``
-    (its alpha is ignored); it adds to ``log``.  Returns the maximizer,
-    the maximum and whether the optimizer converged.
+    (its alpha is ignored); it adds to ``log``, which records whether it
+    converged.  Returns the maximizer and the maximum.
     """
     pinned = replace(spec, fixed={**spec.fixed, "alpha": alpha})
     fmap = _FreeMap(pinned)
     res = log.minimize(_neg_loglik_factory(data, pinned, fmap, None), fmap.pack(start))
-    return fmap.unpack(res.x), -float(res.fun), bool(res.success or res.status == 2)
+    return fmap.unpack(res.x), -float(res.fun)
 
 
 # a free nu counts as at an edge of its search range _LOG_NU_BOUNDS when,
@@ -699,7 +695,8 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     A fit whose largest |alpha| component exceeds the keyword-only
     ``divergence_threshold`` at convergence is flagged and reported
     clamped at the threshold (with the other free parameters
-    re-maximized there), never at infinity.
+    re-maximized there, and ``converged`` that re-fit's), never at
+    infinity.
     """
     thr = _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
@@ -707,45 +704,41 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MLE", (thr,))
     objective = _neg_loglik_factory(data, spec, fmap, None)
-    start = _mom_start(data, spec, fmap)
     log = _SearchLog()
-    res = log.minimize(objective, fmap.pack(start))
+    res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)))
     params = fmap.unpack(res.x)
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
         if fmap.free_xi or fmap.free_scale or fmap.free_nu:
-            params, ll, _ = _fit_alpha_pinned(data, spec, clamped, params, log)
+            params, ll = _fit_alpha_pinned(data, spec, clamped, params, log)
         else:
             params = replace(params, alpha=clamped)
             ll = -float(objective(fmap.pack(params)[None])[0])
             log.evaluations += 1
-        return FitResult(method="MLE", estimates=params, loglik_at_opt=ll,
-                         diverged=True, converged=True, **log.fields(),
-                         nu_at_bound=_nu_at_bound(objective, fmap, params))
+        return FitResult(method="MLE", estimates=params, loglik_at_opt=ll, diverged=True,
+                         **log.fields(), nu_at_bound=_nu_at_bound(objective, fmap, params))
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("likelihood optimization failed to find a finite optimum")
     return FitResult(method="MLE", estimates=params, loglik_at_opt=-float(res.fun),
-                     converged=bool(res.success or res.status == 2), **log.fields(),
-                     nu_at_bound=_nu_at_bound(objective, fmap, params))
+                     **log.fields(), nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 
-def fit_mple(data: Dataset, spec: ModelSpec, *,
-             divergence_threshold: float = 100.0) -> FitResult:
+# the shape-only MPLE's first bracket end; the later ones double it
+_MPLE_FIRST_END = 150.0
+
+
+def fit_mple(data: Dataset, spec: ModelSpec) -> FitResult:
     """Maximum penalized likelihood fit; always interior, never diverges.
 
-    A largest |alpha| beyond the keyword-only ``divergence_threshold``
-    means the search ran away from a bad start, so it restarts from zero
-    shape and keeps the better optimum.  The shape-only search doubles its
-    end from the threshold plus 50 until the penalized score changes sign,
-    and never reports an end.  The penalty coefficients are the model's
-    (:func:`resolve_penalty`), re-resolved at each candidate nu when nu
-    is free.
+    The shape-only fit takes the first sign change of the penalized score
+    along the ends 150, 300, 600, ..., and never reports an end.  The
+    penalty coefficients are the model's (:func:`resolve_penalty`),
+    re-resolved at each candidate nu when nu is free.
     """
-    _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
-        return _fit_shape_only(data, spec, "MPLE", _doublings(divergence_threshold + 50.0))
+        return _fit_shape_only(data, spec, "MPLE", _doublings(_MPLE_FIRST_END))
     if spec.family == "st" and "nu" not in spec.fixed:
         # free nu: the coefficients move with each candidate nu
         penalty_fn = lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
@@ -753,21 +746,13 @@ def fit_mple(data: Dataset, spec: ModelSpec, *,
         coeffs = resolve_penalty(spec)
         penalty_fn = lambda a2, nu: q_value(coeffs, a2)
     objective = _neg_loglik_factory(data, spec, fmap, penalty_fn)
-    start = _mom_start(data, spec, fmap)
     log = _SearchLog()
-    res = log.minimize(objective, fmap.pack(start))
+    res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)))
     params = fmap.unpack(res.x)
-    if fmap.free_alpha and np.max(np.abs(params.alpha)) > divergence_threshold:
-        # interior maximum is guaranteed; a runaway means a bad start
-        null = replace(start, alpha=np.zeros(spec.dimension))
-        res2 = log.minimize(objective, fmap.pack(null))
-        if res2.fun <= res.fun:
-            res, params = res2, fmap.unpack(res2.x)
     if not np.isfinite(res.fun) or res.fun >= _BIG:
         raise OptimizationError("penalized optimization failed to find a finite optimum")
     return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
-                     penalized_loglik_at_opt=-float(res.fun),
-                     converged=bool(res.success or res.status == 2), **log.fields(),
+                     penalized_loglik_at_opt=-float(res.fun), **log.fields(),
                      penalty=resolve_penalty(spec, params.nu),
                      nu_at_bound=_nu_at_bound(objective, fmap, params))
 
@@ -788,8 +773,8 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
     """Deviance profile D(alpha) = 2 {max-over-grid l*(.) - l*(alpha)}.
 
     Each grid point maximizes over the nuisance (xi, omega) with alpha
-    pinned, by the same quasi-Newton search (simplex fallback) that
-    re-fits a clamped divergent MLE, warm-started from its predecessor;
+    pinned, by the same quasi-Newton search that re-fits a clamped
+    divergent MLE, warm-started from its predecessor;
     a bounded Brent search between the neighbours of the best grid point
     pins the normalizing maximum.  Nonconvergent inner fits are flagged
     per point rather than aborting the sweep.
@@ -808,9 +793,10 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
                                 spec.fixed.get("nu"))
     values, oks, starts = [], [], []
     for a in grid:
-        start, val, ok = _fit_alpha_pinned(data, spec, a, start, _SearchLog())
+        log = _SearchLog()
+        start, val = _fit_alpha_pinned(data, spec, a, start, log)
         values.append(val)
-        oks.append(ok)
+        oks.append(log.converged)
         starts.append(start)
     # refine the maximum locally so D is normalized by the true profile peak
     i_best = int(np.argmax(values))
@@ -873,9 +859,10 @@ def sn_m_exact(alpha: float) -> float:
 def fit_sf_one_param(data: Dataset, spec: ModelSpec | None = None) -> FitResult:
     """Root of the modified score l'(alpha) + M(alpha) = 0, one-parameter model.
 
-    The root always exists and is finite.  The ends 1, 2, 4, ..., 2^45
-    bracket it, and safeguarded Newton steps on the analytic modified
-    score and its derivative, started from the moment estimate, locate it.
+    The root always exists and is finite.  The fit takes the first sign
+    change of the modified score along the ends 1, 2, 4, ..., 2^45, and
+    safeguarded Newton steps on the analytic modified score and its
+    derivative, started from the moment estimate, locate the root there.
     """
     if spec is None:
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})

@@ -52,16 +52,21 @@ class ModelSpec:
             raise ValueError(f"family must be 'sn' or 'st', got {self.family!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        for key in self.fixed:
+        for key, value in self.fixed.items():
             if key not in _FIXABLE:
                 raise ValueError(f"unknown fixed component {key!r}")
-        if "omega" in self.fixed and self.dimension > 1:
-            raise ValueError("pin 'omega_mat' rather than 'omega' for d > 1")
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"pinned {key} must be finite, got {value!r}")
+        if "omega" in self.fixed:
+            if self.dimension > 1:
+                raise ValueError("pin 'omega_mat' rather than 'omega' for d > 1")
+            if float(self.fixed["omega"]) <= 0:
+                raise ValueError(f"pinned omega must be positive, got {self.fixed['omega']!r}")
         if "nu" in self.fixed:
             if self.family != "st":
                 raise ValueError("nu can only be pinned in the skew-t family")
             if float(self.fixed["nu"]) <= 0:
-                raise ValueError("pinned nu must be positive")
+                raise ValueError(f"pinned nu must be positive, got {self.fixed['nu']!r}")
         object.__setattr__(self, "fixed", dict(self.fixed))
 
     @property

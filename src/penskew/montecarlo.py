@@ -229,14 +229,13 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
     data = sample(config.true_params, n,
                   np.random.SeedSequence(config.base_seed, spawn_key=(n, rep)))
     need = _needed_fits(config.estimators)
-    thr = config.divergence_threshold
     out = {"rep": rep, "diverged": False, "errors": {}}
     fits = {}
     # the lambdas look the fit functions up in this module at call time, so
     # wrappers set on the module (e.g. a tracer's) see every call
     calls = (
-        ("MLE", lambda: fit_mle(data, spec, divergence_threshold=thr)),
-        ("MPLE", lambda: fit_mple(data, spec, divergence_threshold=thr)),
+        ("MLE", lambda: fit_mle(data, spec, divergence_threshold=config.divergence_threshold)),
+        ("MPLE", lambda: fit_mple(data, spec)),
         ("SF", lambda: fit_sf_one_param(data, spec)),
         ("WBAR", lambda: fit_wbar(data, spec, fits["MLE"], fits["MPLE"],
                                   allow_boundary_mle=True)),

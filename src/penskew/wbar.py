@@ -243,7 +243,7 @@ def emit_w_scatter(n_reps: int, n: int, alpha_true: float, seed, *,
         mle = fit_mle(data, spec, divergence_threshold=divergence_threshold)
         if mle.diverged:
             continue
-        mple = fit_mple(data, spec, divergence_threshold=divergence_threshold)
+        mple = fit_mple(data, spec)
         w, wp = w_statistics(truth, data, spec, mle, mple)
         e_hat = float(mle.estimates.alpha[0]) - alpha_true
         e_tilde = float(mple.estimates.alpha[0]) - alpha_true

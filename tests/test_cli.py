@@ -51,6 +51,19 @@ class TestFitCommand:
         assert code == 1
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        # the MPLE ran a full search, then failed with "searched [0.0, nan]"
+        (["--fix", "xi=0", "--fix", "omega=0"], "pinned omega must be positive, got 0.0"),
+        # the fit failed with "nu must be positive, got inf"
+        (["--family", "st", "--fix", "nu=inf"], "pinned nu must be finite, got inf"),
+        (["--fix", "xi=nan"], "pinned xi must be finite, got nan"),
+    ], ids=["omega=0", "nu=inf", "xi=nan"])
+    def test_bad_pinned_value_exit_one(self, extra, message, tmp_path, capsys):
+        csv = write_csv(tmp_path / "y.csv", sn_sample(3.0, 30, 5).column(0))
+        code = main(["fit", csv, "--estimator", "mple", *extra, "--out", os.devnull])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_skew_t_penalty_follows_the_model(self, tmp_path):
         from penskew.distributions import DirectParams, sample
         data = sample(DirectParams.scalar(0.0, 1.0, 3.0, nu=5.0), 500, 31)

@@ -14,6 +14,7 @@ from penskew.estimators import (
     DivergedMLEError,
     FitResult,
     InformationMatrixError,
+    OptimizationError,
     RootBracketError,
     _FreeMap,
     _neg_loglik_factory,
@@ -165,7 +166,7 @@ class TestFitMple:
     @staticmethod
     def tiny_scale_sample():
         # against omega = 1 these 20 positive values are nearly at zero: the
-        # penalized score keeps its sign from 0.03 to past the threshold plus 50
+        # penalized score keeps its sign from 0.03 to past its first end, 150
         return Dataset(np.random.default_rng(3).uniform(0.0005, 0.005, 20))
 
     def test_shape_only_search_goes_past_its_first_end(self):
@@ -236,6 +237,18 @@ class TestFitSf:
     def test_rejects_full_model_spec(self):
         with pytest.raises(ValueError):
             fit_sf_one_param(Dataset(np.array([0.1, -0.2, 0.3])), THREE_PARAM)
+
+    def test_takes_the_first_sign_change_from_its_first_end(self):
+        # the modified score of this sample falls through zero near 0.0275, rises
+        # again, and falls through zero once more near 1046; SF brackets from
+        # 1, so it takes the first root, and the MPLE, bracketing from 150, the last
+        data = TestFitMple.tiny_scale_sample()
+        fit = fit_sf_one_param(data)
+        a = float(fit.estimates.alpha[0])
+        assert a == pytest.approx(0.027501017, rel=1e-8)
+        assert oracle_sf_score(data.column(0), 1.0) < 0.0 < oracle_sf_score(data.column(0), 1e-3)
+        assert float(fit_mple(data, ONE_PARAM).estimates.alpha[0]) == pytest.approx(1045.8938,
+                                                                                     rel=1e-7)
 
 
 class TestStMExact:
@@ -538,7 +551,7 @@ class TestDivergenceThreshold:
         assert fit.diverged
         assert float(fit.estimates.alpha[0]) == pytest.approx(math.copysign(THRESHOLD, a_hat),
                                                               rel=1e-12)
-        mple = fit_mple(data, spec, divergence_threshold=THRESHOLD)
+        mple = fit_mple(data, spec)
         assert not mple.diverged and np.isfinite(float(mple.estimates.alpha[0]))
 
     @pytest.mark.parametrize("key", sorted(BETWEEN))
@@ -576,14 +589,13 @@ class TestDivergenceThreshold:
         return re.escape(f"divergence_threshold must be positive and finite, got {value!r}")
 
     @pytest.mark.parametrize("value", BAD_THRESHOLDS)
-    @pytest.mark.parametrize("fit", [fit_mle, fit_mple])
-    def test_fits_reject_a_non_positive_or_non_finite_threshold(self, fit, value):
+    def test_fits_reject_a_non_positive_or_non_finite_threshold(self, value):
         # with -1 the shape-only MLE of this positively skewed sample was reported
         # diverged at alpha = -1, and NaN failed with "parameters must be finite"
         data = Dataset(np.random.default_rng(1).normal(size=30) + 0.5)
         for spec in (ONE_PARAM, THREE_PARAM):
             with pytest.raises(ValueError, match=self.refusal(value)):
-                fit(data, spec, divergence_threshold=value)
+                fit_mle(data, spec, divergence_threshold=value)
 
     @pytest.mark.parametrize("value", BAD_THRESHOLDS)
     def test_w_scatter_and_study_config_reject_it(self, value):
@@ -631,7 +643,7 @@ class TestOptimizerTrace:
         fit = fit_mle(all_positive_sample(5.0, 50, 2), THREE_PARAM)
         assert fit.diverged
         self.check_stages(fit)
-        assert len(fit.optimizer_trace) >= 2  # the re-fit at the clamped shape ran too
+        assert len(fit.optimizer_trace) == 2  # the re-fit at the clamped shape ran too
 
     def test_json_report_lists_the_stages(self):
         fit = fit_mle(all_positive_sample(5.0, 50, 2), THREE_PARAM)
@@ -640,6 +652,39 @@ class TestOptimizerTrace:
         shape_only = fit_mle(sn_sample(2.0, 60, seed=seeded(14, 1)), ONE_PARAM)
         assert shape_only.optimizer_trace is None
         assert shape_only.to_json_dict()["optimizer_trace"] is None
+
+
+class TestOneSearch:
+    """Each BFGS-path fit is one search, and that search's status is the fit's."""
+
+    def test_a_search_cut_at_its_iteration_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_MAXITER", 2)
+        data = sn_sample(3.0, 100, seed=seeded(16, 0))
+        mle, mple = fit_mle(data, THREE_PARAM), fit_mple(data, THREE_PARAM)
+        for fit in (mle, mple):
+            assert not fit.converged and not fit.diverged and fit.iterations == 2
+            [(name, nit, _)] = fit.optimizer_trace
+            assert (name, nit) == ("bfgs", 2)
+        with pytest.raises(OptimizationError, match="did not converge"):
+            stderr_from_penalized_info(mple, data, THREE_PARAM)
+        from penskew.wbar import fit_wbar
+        with pytest.raises(ValueError, match="must have converged"):
+            fit_wbar(data, THREE_PARAM, mle, mple)
+
+    def test_a_clamped_mle_reports_its_pinned_refit(self, monkeypatch):
+        # cap the second search, the re-fit at the clamped shape, at 2 iterations
+        searches = []
+
+        def cap_the_refit(objective, x0, bfgs=estimators._bfgs):
+            searches.append(x0)
+            if len(searches) == 2:
+                monkeypatch.setattr(estimators, "_MAXITER", 2)
+            return bfgs(objective, x0)
+
+        monkeypatch.setattr(estimators, "_bfgs", cap_the_refit)
+        fit = fit_mle(all_positive_sample(5.0, 50, 2), THREE_PARAM)
+        assert fit.diverged and not fit.converged
+        assert [(name, nit) for name, nit, _ in fit.optimizer_trace] == [("bfgs", 72), ("bfgs", 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,26 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(family="sn", fixed={"nu": 4.0})
 
+    @pytest.mark.parametrize("family, fixed, message", [
+        ("sn", {"xi": np.nan}, "pinned xi must be finite, got nan"),
+        ("sn", {"xi": np.inf, "omega": 1.0}, "pinned xi must be finite, got inf"),
+        ("sn", {"omega": np.nan}, "pinned omega must be finite, got nan"),
+        ("sn", {"alpha": -np.inf}, "pinned alpha must be finite, got -inf"),
+        ("st", {"nu": np.inf}, "pinned nu must be finite, got inf"),
+        ("sn", {"xi": 0.0, "omega": 0.0}, "pinned omega must be positive, got 0.0"),
+        ("sn", {"omega": -1.0}, "pinned omega must be positive, got -1.0"),
+        ("st", {"nu": 0.0}, "pinned nu must be positive, got 0.0"),
+    ], ids=["xi=nan", "xi=inf", "omega=nan", "alpha=-inf", "nu=inf", "omega=0", "omega=-1",
+            "nu=0"])
+    def test_rejects_a_bad_pinned_value(self, family, fixed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelSpec(family=family, fixed=fixed)
+
+    def test_rejects_a_non_finite_pinned_matrix_entry(self):
+        omega_mat = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="pinned omega_mat must be finite"):
+            ModelSpec(dimension=2, fixed={"omega_mat": omega_mat})
+
     def test_one_param_detection(self):
         assert ModelSpec(family="sn", dimension=1, fixed={"xi": 0, "omega": 1}).is_one_param
         assert not ModelSpec(family="sn", dimension=1).is_one_param
