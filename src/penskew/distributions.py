@@ -264,7 +264,7 @@ def sn_logpdf(x, params: DirectParams):
     v = arr - params.xi
     qx, logdet = _mahalanobis_and_logdet(v, params.omega_mat)
     u = (v / params.omega_diag) @ params.alpha
-    out = -0.5 * params.d * _LOG2PI - 0.5 * logdet - 0.5 * qx + zeta0(u)
+    out = _sn_log_terms(qx, logdet, u, params.d)
     return float(out[0]) if squeeze else out
 
 
@@ -283,6 +283,11 @@ def st_logpdf(x, params: DirectParams):
     u = (v / params.omega_diag) @ params.alpha
     out = _st_log_terms(qx, logdet, u, params.d, params.nu)
     return float(out[0]) if squeeze else out
+
+
+def _sn_log_terms(qx, logdet, u, d):
+    """Per-observation skew-normal log densities from raw arrays, as :func:`_st_log_terms`."""
+    return -0.5 * d * _LOG2PI - 0.5 * logdet - 0.5 * qx + zeta0(u)
 
 
 def _st_log_terms(qx, logdet, u, d, nu):
@@ -335,7 +340,13 @@ def sample(params: DirectParams, n: int, seed) -> Dataset:
 
 def alpha_star(params: DirectParams) -> float:
     """Scalar shape summary sqrt(alpha' Omega-bar alpha); zero iff alpha = 0."""
-    return float(np.sqrt(params.alpha @ params.omega_bar @ params.alpha))
+    return _alpha_star(params.omega_mat, params.alpha)
+
+
+def _alpha_star(omega_mat: np.ndarray, alpha: np.ndarray) -> float:
+    """:func:`alpha_star` of raw arrays, by :attr:`DirectParams.omega_bar`'s arithmetic."""
+    s = np.sqrt(np.diag(omega_mat))
+    return float(np.sqrt(alpha @ (omega_mat / np.outer(s, s)) @ alpha))
 
 
 def delta_of_alpha(alpha: float) -> float:

@@ -8,7 +8,9 @@ value and central-difference gradient come from one evaluation of the
 point and its 2k neighbours as a single stack; its status says whether
 the fit converged.  The stack shares one vectorized log-density pass:
 over an (m x n) array for d = 1, through one stacked Cholesky
-factorization for d > 1.
+factorization for d > 1.  The standard errors evaluate the 2k(k+1)
+points of their central-difference Hessian as one such stack too.
+Each point's value is bit-equal to that of a pass of its own.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
 alpha plus the estimator's correction.
@@ -23,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize, special
 
-from .distributions import (Dataset, DirectParams, _mahalanobis_and_logdet, _st_log_terms,
-                            alpha_star)
+from .distributions import (Dataset, DirectParams, _alpha_star, _mahalanobis_and_logdet,
+                            _sn_log_terms, _st_log_terms)
 from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, resolve_penalty
 from .penalty import PenaltyCoeffs, q_value
 from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
@@ -171,7 +173,8 @@ class _FreeMap:
         if d == 1:
             self._log_scale = (lambda p: [math.log(p.omega)],
                                lambda b: np.array([[math.exp(2.0 * b[0])]]))
-            self._raw_scale = (lambda p: [p.omega], lambda b: np.array([[float(b[0]) ** 2]]))
+            self._raw_scale = (lambda p: [p.omega], lambda b: np.reshape(  # a block or a stack
+                [float(v) ** 2 for v in b.ravel()], b.shape[:-1] + (1, 1)))
         else:
             self._log_scale = (self._log_cholesky, self._from_log_cholesky)
             self._raw_scale = (lambda p: p.omega_mat[self._tril], self._from_vech)
@@ -201,9 +204,10 @@ class _FreeMap:
         return chol @ np.swapaxes(chol, -1, -2)
 
     def _from_vech(self, block: np.ndarray) -> np.ndarray:
-        omega_mat = np.zeros((self.d, self.d))
-        omega_mat[self._tril] = block
-        return omega_mat + np.tril(omega_mat, -1).T
+        """Symmetric Omega of a vech block, or of each row of a stack of them."""
+        omega_mat = np.zeros(block.shape[:-1] + (self.d, self.d))
+        omega_mat[..., self._tril[0], self._tril[1]] = block
+        return omega_mat + np.swapaxes(np.tril(omega_mat, -1), -1, -2)
 
     def _pack(self, params: DirectParams, scale, nu) -> np.ndarray:
         """Free vector of ``params``; ``scale`` and ``nu`` encode those blocks."""
@@ -259,22 +263,26 @@ class _FreeMap:
             nu = [None if self.spec.family == "sn" else float(self.spec.fixed["nu"])] * m
         return list(zip(xi, omega, alpha, nu))
 
-    def stack(self, X: np.ndarray) -> tuple:
-        """(xi, omega_mat, alpha, nu) of each row of a d > 1 stack X.
+    def stack(self, X: np.ndarray, direct: bool = False) -> tuple:
+        """(xi, omega_mat, alpha, nu) of each row of a stack X.
 
-        xi and alpha are (m, d) arrays, omega_mat is (m, d, d) and nu a
-        list of m floats, or of None for the skew-normal.  Each row
-        decodes bit for bit as :meth:`unpack` decodes it; an exp that
-        overflows decodes as inf.
+        X holds optimizer vectors of a d > 1 model, or with ``direct``
+        direct vectors of any d.  xi and alpha are (m, d) arrays,
+        omega_mat is (m, d, d) and nu a list of m floats, or of None for
+        the skew-normal.  Each row decodes bit for bit as :meth:`unpack`
+        or :meth:`direct_unpack` decodes it; an exp that overflows
+        decodes as inf.
         """
         m, d = len(X), self.d
+        scale, nu_of = (self._raw_scale[1], float) if direct else (self._from_log_cholesky,
+                                                                    _exp_or_inf)
         xi = X[:, self._xi] if self.free_xi else np.broadcast_to(self._fixed_xi(), (m, d))
-        omega_mat = (self._from_log_cholesky(X[:, self._scale]) if self.free_scale
+        omega_mat = (scale(X[:, self._scale]) if self.free_scale
                      else np.broadcast_to(self._fixed_omega_mat(), (m, d, d)))
         alpha = (X[:, self._alpha] if self.free_alpha
                  else np.broadcast_to(self._fixed_alpha(), (m, d)))
         if self.free_nu:
-            nu = [_exp_or_inf(v) for v in X[:, -1].tolist()]
+            nu = [nu_of(v) for v in X[:, -1].tolist()]
         else:
             nu = [None if self.spec.family == "sn" else float(self.spec.fixed["nu"])] * m
         return xi, omega_mat, alpha, nu
@@ -350,19 +358,13 @@ def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
         if fmap.free_nu:
             ok &= np.array([_nu_in_range(v) for v in nu], dtype=bool)
         idx = np.flatnonzero(ok)
-        # the sample flattened to n d values and each row's xi (and below its
-        # omegas) tiled to match: the elementwise passes run along n d values
-        v = flat - np.tile(xi[idx], n)
         try:
-            qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat[idx])
+            qx, logdet, u = _mv_terms(flat, n, d, xi[idx], omega_mat[idx], alpha[idx])
         except np.linalg.LinAlgError:
             # factor row by row, so that only the rows that fail keep _BIG
-            keep = [_factors(omega_mat[i]) for i in idx]
-            idx, v = idx[keep], v[keep]
-            qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat[idx])
-        omega_diag = np.sqrt(diag[idx])
-        w = alpha[idx] / omega_diag
-        u = np.matmul((v / np.tile(omega_diag, n)).reshape(-1, n, d), alpha[idx, :, None])[..., 0]
+            idx = idx[[_factors(omega_mat[i]) for i in idx]]
+            qx, logdet, u = _mv_terms(flat, n, d, xi[idx], omega_mat[idx], alpha[idx])
+        w = alpha[idx] / np.sqrt(diag[idx])
         if spec.family == "sn":
             ll = np.sum(-0.5 * d * np.log(2 * np.pi) - 0.5 * logdet[:, None] - 0.5 * qx
                         + np.log(2.0) + special.log_ndtr(u), axis=-1)
@@ -382,6 +384,21 @@ def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
         return out
 
     return objective
+
+
+def _mv_terms(flat, n, d, xi, omega_mat, alpha) -> tuple:
+    """Squared Mahalanobis distances qx, log det Omega and u = alpha' omega^-1 (y - xi)
+    of each row of a d > 1 stack, on the sample flattened to ``flat``.
+
+    Each row's xi and omegas are tiled to the sample's n d values, so the
+    elementwise passes run along them.  Raises ``LinAlgError`` when a
+    matrix has no Cholesky factor.
+    """
+    v = flat - np.tile(xi, n)
+    qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat)
+    omega_diag = np.sqrt(np.diagonal(omega_mat, axis1=1, axis2=2))
+    u = np.matmul((v / np.tile(omega_diag, n)).reshape(-1, n, d), alpha[:, :, None])[..., 0]
+    return qx, logdet, u
 
 
 def _factors(omega_mat: np.ndarray) -> bool:
@@ -914,37 +931,55 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
     in the direct parameterization; its negative must be positive
     definite, and every difference point must lie in the parameter space,
     otherwise :class:`InformationMatrixError` is raised (no silent
-    regularization).  The result is also attached to ``fit``.
+    regularization).  ``fit`` must be a fit of ``spec`` to ``data``, else
+    ValueError.  The 2k(k+1) difference points are evaluated as one
+    stack, each bit-equal to :func:`loglik` minus the penalty at its own
+    :class:`DirectParams`.  The result is also attached to ``fit``.
     """
     if fit.diverged:
         raise DivergedMLEError("standard errors are undefined for a diverged fit")
     if not fit.converged:
         raise OptimizationError("fit did not converge; refusing to compute standard errors")
-    coeffs = fit.penalty or resolve_penalty(spec, nu=fit.estimates.nu)
+    spec.validate_params(fit.estimates)
     fmap = _FreeMap(spec)
+    _check_data(data, spec, fmap)
+    coeffs = fit.penalty or resolve_penalty(spec, nu=fit.estimates.nu)
     names = fmap.direct_names
-
-    def pll(xd):
-        params = fmap.direct_unpack(xd)
-        return loglik(params, data, spec) - q_value(coeffs, alpha_star(params) ** 2)
-
     x0 = fmap.direct_pack(fit.estimates)
     k = len(x0)
     h = _HESSIAN_STEP * np.maximum(1.0, np.abs(x0))
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    points = []
+    for i, j in pairs:
+        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):  # pp, pm, mp, mm
+            x = x0.copy(); x[i] += si * h[i]; x[j] += sj * h[j]
+            points.append(x)
+    X = np.array(points)
+    xi, omega_mat, alpha, nu = fmap.stack(X, direct=True)
+    # each point as DirectParams would check it; the first that fails names its step
+    ok = np.isfinite(X).all(axis=1) & np.isfinite(omega_mat).all(axis=(1, 2))
+    if fmap.free_nu:
+        ok &= X[:, -1] > 0
+    if fmap.d == 1:
+        ok &= omega_mat[:, 0, 0] > 0
+    elif not _factors(omega_mat[ok]):
+        ok[ok] = [_factors(o) for o in omega_mat[ok]]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i, j = pairs[bad[0] // 4]
+        step = names[i] if i == j else f"{names[i]} and {names[j]}"
+        try:
+            fmap.direct_unpack(X[bad[0]])
+        except ValueError as exc:
+            raise InformationMatrixError(
+                f"a Hessian point stepped in {step} leaves the parameter space: {exc}") from exc
+    pll = [value - q_value(coeffs, _alpha_star(o, a) ** 2)
+           for value, o, a in zip(_stack_loglik(data, xi, omega_mat, alpha, nu).tolist(),
+                                  omega_mat, alpha)]
     hess = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            xpp = x0.copy(); xpp[i] += h[i]; xpp[j] += h[j]
-            xpm = x0.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp = x0.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm = x0.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
-            try:
-                diff = pll(xpp) - pll(xpm) - pll(xmp) + pll(xmm)
-            except ValueError as exc:  # raised by DirectParams for a point outside the space
-                step = names[i] if i == j else f"{names[i]} and {names[j]}"
-                raise InformationMatrixError(
-                    f"a Hessian point stepped in {step} leaves the parameter space: {exc}") from exc
-            hess[i, j] = hess[j, i] = diff / (4 * h[i] * h[j])
+    for p, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = pll[4 * p:4 * p + 4]
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h[i] * h[j])
     obs_info = -hess
     try:
         chol = np.linalg.cholesky(obs_info)
@@ -957,3 +992,25 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
     fit.stderr = se
     fit.obs_info = obs_info
     return se
+
+
+def _stack_loglik(data: Dataset, xi, omega_mat, alpha, nu) -> np.ndarray:
+    """:func:`loglik` at each row of a valid stack from :meth:`_FreeMap.stack`.
+
+    One pass per distinct nu: the d = 1 kernels on (m, 1) columns, or the
+    stacked d > 1 terms summed as the log densities sum them.
+    """
+    n, d = data.rows.shape
+    if d > 1:
+        qx, logdet, u = _mv_terms(data.rows.reshape(-1), n, d, xi, omega_mat, alpha)
+    out = np.empty(len(nu))
+    for value in set(nu):
+        sel = [r for r, v in enumerate(nu) if v == value]
+        if d == 1:
+            cols = (data.column(0), xi[sel], np.sqrt(omega_mat[sel, :, 0]), alpha[sel])
+            out[sel] = _sn1_loglik(*cols) if value is None else _st1_loglik(*cols, value)
+        else:
+            terms = (qx[sel], logdet[sel, None], u[sel], d)
+            out[sel] = np.sum(_sn_log_terms(*terms) if value is None
+                              else _st_log_terms(*terms, value), axis=-1)
+    return out

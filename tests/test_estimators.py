@@ -313,6 +313,34 @@ class TestStderr:
             stderr_from_penalized_info(fit, data, spec)
         assert fit.stderr is None
 
+    def test_refuses_a_free_nu_step_below_zero(self):
+        # nu = 5e-5 and its step h = 1e-4: the first point in loop order with
+        # nu - h < 0 is the (xi, nu) pair's pm point
+        data = sample(DirectParams.scalar(0.0, 1.0, 3.0, 4.0), 100, seeded(19, 0))
+        nu = 5e-5
+        fit = FitResult(method="MPLE", estimates=DirectParams.scalar(0.0, 1.0, 3.0, nu),
+                        loglik_at_opt=0.0)
+        message = ("a Hessian point stepped in xi and nu leaves the parameter space: "
+                   f"nu must be positive, got {nu - 1e-4!r}")
+        with pytest.raises(InformationMatrixError, match=f"^{re.escape(message)}$"):
+            stderr_from_penalized_info(fit, data, ModelSpec(family="st"))
+        assert fit.stderr is None
+
+    @pytest.mark.parametrize("case", ["data_dimension", "family", "pinned_xi"])
+    def test_refuses_a_fit_of_another_model(self, case):
+        data = sample(DirectParams.scalar(0, 1, 3), 100, 1)
+        fit = fit_mple(data, ModelSpec())
+        two_columns = Dataset(np.column_stack([data.rows[:, 0], data.rows[:, 0] ** 2]))
+        other_data, spec, message = {
+            "data_dimension": (two_columns, ModelSpec(), "data dimension 2 != model dimension 1"),
+            "family": (data, ModelSpec(family="st", fixed={"nu": 4.0}),
+                       "family 'st' inconsistent with params"),
+            "pinned_xi": (data, ModelSpec(fixed={"xi": 0.0}), "violates pinned xi=0.0"),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            stderr_from_penalized_info(fit, other_data, spec)
+        assert fit.stderr is None
+
 
 FREE_MAP_SN1 = DirectParams.scalar(0.3, 1.7, -2.2)
 FREE_MAP_ST1 = DirectParams.scalar(0.3, 1.7, -2.2, nu=4.5)
@@ -363,6 +391,14 @@ def test_free_map_round_trips(name):
     if fmap.free_nu:
         assert fmap.unpack(x).nu == math.exp(x[-1])
         assert fmap.direct_unpack(xd).nu == xd[-1]
+    # the direct stack codec decodes each row bit for bit as direct_unpack does
+    X = xd + np.array([[0.0], [1e-4], [-2e-4]]) * np.maximum(1.0, np.abs(xd))
+    stacked = fmap.stack(X, direct=True)
+    for r, row in enumerate(X):
+        back = fmap.direct_unpack(row)
+        xi, omega_mat, alpha, nu = (part[r] for part in stacked)
+        assert np.array_equal(xi, back.xi) and np.array_equal(omega_mat, back.omega_mat)
+        assert np.array_equal(alpha, back.alpha) and nu == back.nu
     if spec.dimension == 1:
         # the batch objective's row decoder agrees with unpack bit for bit
         back = fmap.unpack(x)
@@ -771,6 +807,32 @@ def per_point_bfgs(objective, x0):
                              options=dict(maxiter=300, gtol=1e-6))
 
 
+def per_point_stderr(fit, data, spec):
+    """The standard errors' Hessian differenced point by point: one DirectParams,
+    loglik and q_value per difference point.  Returns (se, obs_info)."""
+    coeffs = fit.penalty or resolve_penalty(spec, nu=fit.estimates.nu)
+    fmap = _FreeMap(spec)
+
+    def pll(xd):
+        params = fmap.direct_unpack(xd)
+        a_star = float(np.sqrt(params.alpha @ params.omega_bar @ params.alpha))
+        return loglik(params, data, spec) - q_value(coeffs, a_star ** 2)
+
+    x0 = fmap.direct_pack(fit.estimates)
+    k = len(x0)
+    h = 1e-4 * np.maximum(1.0, np.abs(x0))
+    hess = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            xpp = x0.copy(); xpp[i] += h[i]; xpp[j] += h[j]
+            xpm = x0.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
+            xmp = x0.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
+            xmm = x0.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
+            diff = pll(xpp) - pll(xpm) - pll(xmp) + pll(xmm)
+            hess[i, j] = hess[j, i] = diff / (4 * h[i] * h[j])
+    return np.sqrt(np.diag(np.linalg.inv(-hess))), -hess
+
+
 def model_penalty(spec):
     if spec.family == "st" and "nu" not in spec.fixed:
         return lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
@@ -897,6 +959,24 @@ def test_one_pass_bfgs_reproduces_the_per_point_fit(name, fit, monkeypatch):
     if name == "3p_divergent" and fit is fit_mle:
         assert batched.diverged and batched.optimizer_trace[0][1] == 65
         assert len(batched.optimizer_trace) >= 2  # the pinned re-fit ran
+
+
+HESSIAN_CLASSES = {
+    **FREE_MAP_CLASSES,
+    "d3_sn": (DirectParams(xi=[0.0, 1.0, -1.0], alpha=[2.0, -1.0, 0.5],
+                           omega_mat=[[1.0, 0.3, 0.2], [0.3, 2.0, -0.4], [0.2, -0.4, 1.5]]),
+              ModelSpec(dimension=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HESSIAN_CLASSES))
+def test_stacked_hessian_reproduces_the_per_point_hessian(name):
+    truth, spec = HESSIAN_CLASSES[name]
+    data = sample(truth, 120, seeded(18, len(name)))
+    fit = fit_mple(data, spec)
+    se, obs_info = per_point_stderr(fit, data, spec)
+    assert np.array_equal(stderr_from_penalized_info(fit, data, spec), se)
+    assert np.array_equal(fit.obs_info, obs_info)
 
 
 # fit_mle on sn_sample(3.0, 100, seeded(16, 0)): 9 BFGS iterations, 14 batches of 7 rows
