@@ -183,6 +183,19 @@ class TestSimulateCommand:
         assert "fit failures: {'MPLE@n=40': 1}\n" in err
         assert "failure kinds: {'MPLE@n=40': {'RuntimeError': 1}}\n" in err
 
+    @pytest.mark.parametrize("change, field", [
+        ({"sample_sizes": [20, 20]}, "sample_sizes"),
+        ({"sample_sizes": [0]}, "sample_sizes"),
+        ({"workers": -3}, "workers"),
+    ])
+    def test_bad_config_exit_one(self, change, field, tmp_path, capsys):
+        cfg = {"true_params": {"xi": 0.0, "omega": 1.0, "alpha": 4.0}, "sample_sizes": [25],
+               "replicates": 2, "base_seed": 99, **change}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(cfg_path), "--out", os.devnull]) == 1
+        assert f"error: {field} must" in capsys.readouterr().err
+
     def test_unknown_bundled_name(self, capsys):
         assert main(["simulate", "no-such-config"]) == 1
         assert "available" in capsys.readouterr().err

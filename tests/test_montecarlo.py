@@ -1,8 +1,11 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import penskew.montecarlo as montecarlo
-from penskew.distributions import DirectParams
+from penskew.distributions import DirectParams, sample
 from penskew.estimators import OptimizationError
 from penskew.montecarlo import (
     RateCurves,
@@ -94,6 +97,79 @@ class TestDeterminismAndSeeding:
         assert parallel.to_csv_string() == serial.to_csv_string()
         assert parallel.metadata["estimates"] == serial.metadata["estimates"]
         assert parallel.metadata["diverged"] == serial.metadata["diverged"]
+
+
+def shape_only_config(**kw):
+    base = dict(true_params=DirectParams.scalar(0.0, 1.0, 5.0), sample_sizes=(20, 50),
+                replicates=1, base_seed=413, fixed={"xi": 0.0, "omega": 1.0},
+                estimators=("MLE", "MPLE", "SF", "WBAR"), exclusion="common-finite")
+    base.update(kw)
+    return StudyConfig(**base)
+
+
+def assert_same_study(a, b):
+    assert a.to_csv_string() == b.to_csv_string()
+    assert a.to_json_string() == b.to_json_string()
+    for key in ("estimates", "diverged", "fit_failures", "failure_kinds"):
+        assert a.metadata[key] == b.metadata[key]
+
+
+class TestPoolPath:
+    @pytest.mark.parametrize("replicates, sample_sizes", [(1, (20, 50)), (17, (100, 20, 50))])
+    def test_pool_matches_serial(self, replicates, sample_sizes, monkeypatch):
+        submitted = []
+
+        class RecordingPool(montecarlo.ProcessPoolExecutor):
+            def map(self, fn, tasks):
+                submitted.extend((n, list(reps)) for _, n, reps in tasks)
+                return super().map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        cfg = dict(replicates=replicates, sample_sizes=sample_sizes)
+        serial = run_study(shape_only_config(**cfg))
+        parallel = run_study(shape_only_config(**cfg, workers=2))
+        assert_same_study(parallel, serial)
+        assert list(dict.fromkeys(r["n"] for r in parallel.rows)) == list(sample_sizes)
+        # chunks of 16 consecutive replicates, largest n first
+        chunks = [list(range(i, min(i + 16, replicates))) for i in range(0, replicates, 16)]
+        assert submitted == [(n, c) for n in sorted(sample_sizes, reverse=True) for c in chunks]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the failing fit reaches the pool workers only by fork")
+    def test_pool_matches_serial_when_a_replicate_fails(self, monkeypatch):
+        cfg = shape_only_config(replicates=17, sample_sizes=(100, 20, 50))
+        doomed = sample(cfg.true_params, 50, np.random.SeedSequence(413, spawn_key=(50, 16)))
+        real_fit_mple = montecarlo.fit_mple
+
+        def fit_mple_failing_once(data, spec, **kw):
+            if np.array_equal(data.rows, doomed.rows):
+                raise OptimizationError("forced")
+            return real_fit_mple(data, spec, **kw)
+
+        monkeypatch.setattr(montecarlo, "fit_mple", fit_mple_failing_once)
+        serial = run_study(cfg)
+        assert serial.metadata["failure_kinds"] == {"MPLE@n=50": {"OptimizationError": 1},
+                                                    "WBAR@n=50": {"input fit failed": 1}}
+        assert_same_study(run_study(dataclasses.replace(cfg, workers=2)), serial)
+
+    def test_plan(self):
+        def plan(**kw):
+            return [(n, reps) for _, n, reps in montecarlo._pool_tasks(shape_only_config(**kw))]
+
+        # a rates_1p-shaped study: 3 chunks per n (16, 16, 8) instead of 20 chunks of 2
+        rates = plan(replicates=40, sample_sizes=(50, 100, 250, 500, 1000), workers=2)
+        assert len(rates) <= 20
+        assert [n for n, _ in rates] == sorted((n for n, _ in rates), reverse=True)
+        assert [list(r) for n, r in rates if n == 50] == [list(range(40))[i:i + 16]
+                                                          for i in (0, 16, 32)]
+        # large studies keep R // (8 W): 17 chunks of 18, and 16 chunks of 625 per n
+        table1 = plan(replicates=300, sample_sizes=(50,), workers=2)
+        assert [list(r) for _, r in table1] == [list(range(300))[i:i + 18]
+                                                for i in range(0, 300, 18)]
+        big = plan(replicates=10_000, sample_sizes=(50, 100, 250, 500, 1000), workers=2)
+        assert [n for n, _ in big] == [n for n in (1000, 500, 250, 100, 50) for _ in range(16)]
+        assert [list(r) for _, r in big[:16]] == [list(range(i, i + 625))
+                                                  for i in range(0, 10_000, 625)]
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +278,25 @@ class TestStudyConfig:
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
             three_param_config(replicates=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_sizes", ()),
+        ("sample_sizes", (20, 20)),
+        ("sample_sizes", (0,)),
+        ("sample_sizes", (20.5,)),
+        ("sample_sizes", ("20",)),
+        ("sample_sizes", (True,)),
+        ("workers", -3),
+        ("workers", 0),
+        ("workers", 2.0),
+    ])
+    def test_rejects_bad_sizes_and_workers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            three_param_config(**{field: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        cfg = three_param_config(sample_sizes=np.array([30, 20]), workers=np.int64(2))
+        assert cfg.sample_sizes == (30, 20) and all(type(n) is int for n in cfg.sample_sizes)
 
 
 @pytest.fixture(scope="module")
