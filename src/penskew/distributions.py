@@ -294,7 +294,8 @@ def _st_log_terms(qx, logdet, u, d, nu):
     """Per-observation skew-t log densities from raw arrays.
 
     ``qx`` holds the squared Mahalanobis distances, ``logdet`` is
-    log det Omega and ``u`` holds alpha' omega^-1 (x - xi).
+    log det Omega and ``u`` holds alpha' omega^-1 (x - xi); ``nu`` is a
+    float or an array broadcast against them.
     """
     log_td = (
         special.gammaln((nu + d) / 2.0)

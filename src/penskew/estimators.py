@@ -6,10 +6,11 @@ Optimization runs in transformed coordinates (log scale, log nu, raw
 shape) from a method-of-moments start: one quasi-Newton search whose
 value and central-difference gradient come from one evaluation of the
 point and its 2k neighbours as a single stack; its status says whether
-the fit converged.  The stack shares one vectorized log-density pass:
-over an (m x n) array for d = 1, through one stacked Cholesky
-factorization for d > 1.  The standard errors evaluate the 2k(k+1)
-points of their central-difference Hessian as one such stack too.
+the fit converged.  The stack shares one vectorized log-density pass,
+with a skew-t nu that differs between rows as a column: over an (m x n)
+array for d = 1, through one stacked Cholesky factorization for d > 1.
+The standard errors evaluate the 2k(k+1) points of their
+central-difference Hessian as one such stack too.
 Each point's value is bit-equal to that of a pass of its own.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
@@ -305,6 +306,13 @@ def _nu_in_range(nu: float) -> bool:
     return nu > 0.0 and lo_lnu <= math.log(nu) <= hi_lnu
 
 
+def _nu_arg(nu: Sequence):
+    """The t kernels' nu for stack rows of degrees of freedom ``nu``: their
+    shared value (None for the skew-normal), else an (m, 1) column."""
+    shared = set(nu)
+    return shared.pop() if len(shared) == 1 else np.array(nu, dtype=float)[:, None]
+
+
 def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
                         penalty: Callable | None) -> Callable:
     """Build the objective over stacks of free optimizer vectors.
@@ -313,11 +321,11 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     of minus the (penalized) log-likelihood.  ``penalty`` maps
     (alpha_star_sq, nu) to the penalty value, or None for the plain
     likelihood.  Invalid rows get a large value.  The valid rows share one
-    log-density pass, one per distinct nu in the skew-t family: for d = 1
-    over an (m x n) array; for d > 1 through one stacked Cholesky
-    factorization (row by row if a matrix fails it) and one triangular
-    solve per row.  Each row's value is bit-equal to that of a pass of its
-    own.
+    log-density pass, with nu a float or, when the rows' nu differ, a
+    column: for d = 1 over an (m x n) array; for d > 1 through one stacked
+    Cholesky factorization (row by row if a matrix fails it) and one
+    triangular solve per row.  Each row's value is bit-equal to that of a
+    pass of its own.
     """
     if spec.dimension > 1:
         return _mv_objective(data.rows, spec, fmap, penalty)
@@ -325,21 +333,21 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
 
     def objective(X):
         out = np.full(len(X), _BIG)
-        groups = {}  # nu -> the valid rows' (index, xi, omega, alpha)
+        valid = []  # (index, xi, omega, alpha, nu) of each valid row
         for i, (xi, omega, alpha, nu) in enumerate(fmap.rows(X)):
             if fmap.free_nu and not _nu_in_range(nu):
                 continue
             if not (1e-6 < omega < 1e6) or abs(alpha) > 1e7:
                 continue
-            groups.setdefault(nu, []).append((i, xi, omega, alpha))
-        for nu, members in groups.items():
-            index, *cols = zip(*members)
+            valid.append((i, xi, omega, alpha, nu))
+        if valid:
+            index, *cols, nu = zip(*valid)
             xi, omega, alpha = (np.array(c)[:, None] for c in cols)
-            ll = _sn1_loglik(y, xi, omega, alpha) if nu is None else \
-                _st1_loglik(y, xi, omega, alpha, nu)
-            for i, a, value in zip(index, cols[2], ll.tolist()):
+            ll = _sn1_loglik(y, xi, omega, alpha) if spec.family == "sn" else \
+                _st1_loglik(y, xi, omega, alpha, _nu_arg(nu))
+            for i, a, v, value in zip(index, cols[2], nu, ll.tolist()):
                 if math.isfinite(value):
-                    out[i] = -value if penalty is None else -(value - penalty(a * a, nu))
+                    out[i] = -value if penalty is None else -(value - penalty(a * a, v))
         return out
 
     return objective
@@ -369,13 +377,8 @@ def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
             ll = np.sum(-0.5 * d * np.log(2 * np.pi) - 0.5 * logdet[:, None] - 0.5 * qx
                         + np.log(2.0) + special.log_ndtr(u), axis=-1)
         else:
-            ll = np.empty(len(idx))
-            groups = {}  # nu -> positions in idx
-            for j, i in enumerate(idx.tolist()):
-                groups.setdefault(nu[i], []).append(j)
-            for value, sel in groups.items():
-                ll[sel] = np.sum(_st_log_terms(qx[sel], logdet[sel, None], u[sel], d, value),
-                                 axis=-1)
+            ll = np.sum(_st_log_terms(qx, logdet[:, None], u, d,
+                                      _nu_arg([nu[i] for i in idx.tolist()])), axis=-1)
         for j, (i, value) in enumerate(zip(idx.tolist(), ll.tolist())):
             if math.isfinite(value):
                 if penalty is not None:
@@ -835,6 +838,9 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
 # modified-score estimator (one-parameter skew-normal)
 
 _GH_NODES, _GH_WEIGHTS = _gauss_hermite(64)
+_GH_W2 = _GH_WEIGHTS * _GH_NODES * _GH_NODES  # the data-free factors of _sn_m_and_slope
+_GH_W4 = _GH_W2 * _GH_NODES * _GH_NODES
+_GH_W2X, _GH_W4X = _GH_W2 * _GH_NODES, _GH_W4 * _GH_NODES
 
 
 def _sn_m_and_slope(a: float) -> tuple[float, float]:
@@ -846,14 +852,11 @@ def _sn_m_and_slope(a: float) -> tuple[float, float]:
     and R' follows from zeta1'(x) = -zeta1(x) (x + zeta1(x)).
     """
     s = 1.0 + a * a
-    x = _GH_NODES
-    u = (a / math.sqrt(s)) * x
+    u = (a / math.sqrt(s)) * _GH_NODES
     r = _zeta1(u)
     dr = -r * (u + r)
-    w2 = _GH_WEIGHTS * x * x
-    w4 = w2 * x * x
-    e2, e4 = float(np.dot(w2, r)), float(np.dot(w4, r))
-    de2, de4 = float(np.dot(w2 * x, dr)), float(np.dot(w4 * x, dr))
+    e2, e4 = float(np.dot(_GH_W2, r)), float(np.dot(_GH_W4, r))
+    de2, de4 = float(np.dot(_GH_W2X, dr)), float(np.dot(_GH_W4X, dr))
     ratio = e4 / e2
     d_ratio = (de4 - ratio * de2) / e2 / (s * math.sqrt(s))
     amp = -a / (2.0 * s)
@@ -997,20 +1000,15 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
 def _stack_loglik(data: Dataset, xi, omega_mat, alpha, nu) -> np.ndarray:
     """:func:`loglik` at each row of a valid stack from :meth:`_FreeMap.stack`.
 
-    One pass per distinct nu: the d = 1 kernels on (m, 1) columns, or the
-    stacked d > 1 terms summed as the log densities sum them.
+    One pass, with nu a float or, when the rows' nu differ, a column: the
+    d = 1 kernels on (m, 1) columns, or the stacked d > 1 terms summed as
+    the log densities sum them.
     """
     n, d = data.rows.shape
-    if d > 1:
-        qx, logdet, u = _mv_terms(data.rows.reshape(-1), n, d, xi, omega_mat, alpha)
-    out = np.empty(len(nu))
-    for value in set(nu):
-        sel = [r for r, v in enumerate(nu) if v == value]
-        if d == 1:
-            cols = (data.column(0), xi[sel], np.sqrt(omega_mat[sel, :, 0]), alpha[sel])
-            out[sel] = _sn1_loglik(*cols) if value is None else _st1_loglik(*cols, value)
-        else:
-            terms = (qx[sel], logdet[sel, None], u[sel], d)
-            out[sel] = np.sum(_sn_log_terms(*terms) if value is None
-                              else _st_log_terms(*terms, value), axis=-1)
-    return out
+    nu = _nu_arg(nu)
+    if d == 1:
+        cols = (data.column(0), xi, np.sqrt(omega_mat[:, :, 0]), alpha)
+        return _sn1_loglik(*cols) if nu is None else _st1_loglik(*cols, nu)
+    qx, logdet, u = _mv_terms(data.rows.reshape(-1), n, d, xi, omega_mat, alpha)
+    terms = (qx, logdet[:, None], u, d)
+    return np.sum(_sn_log_terms(*terms) if nu is None else _st_log_terms(*terms, nu), axis=-1)

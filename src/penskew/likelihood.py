@@ -118,9 +118,9 @@ def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
     return st_coeffs(float(nu), "approx")
 
 
-# The d = 1 kernels sum along the last axis: with scalar xi, omega and
-# alpha they give one log-likelihood; with (m, 1) columns, one per row,
-# each bit-equal to its own scalar call.
+# The d = 1 kernels sum along the last axis: with scalar xi, omega,
+# alpha and nu they give one log-likelihood; with (m, 1) columns (nu a
+# float or a column), one per row, each bit-equal to its own scalar call.
 
 
 def _sn1_loglik(y: np.ndarray, xi, omega, alpha):
@@ -129,7 +129,7 @@ def _sn1_loglik(y: np.ndarray, xi, omega, alpha):
                   + np.log(2.0) + special.log_ndtr(alpha * z), axis=-1)
 
 
-def _st1_loglik(y: np.ndarray, xi, omega, alpha, nu: float):
+def _st1_loglik(y: np.ndarray, xi, omega, alpha, nu):
     z = (y - xi) / omega
     arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z * z))
     return np.sum(np.log(2.0) - np.log(omega) + _t_logpdf(z, nu)

@@ -89,11 +89,13 @@ class StudyConfig:
         if self.workers is not None and not (_is_int(self.workers) and self.workers >= 1):
             raise ValueError(f"workers must be None or an integer of at least 1, "
                              f"got {self.workers!r}")
+        if not (_is_int(self.replicates) and self.replicates >= 1):
+            raise ValueError(f"replicates must be an integer of at least 1, "
+                             f"got {self.replicates!r}")
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
+        object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "fixed", dict(self.fixed))
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
         _check_divergence_threshold(self.divergence_threshold)
         for e in self.estimators:
             if e not in _ESTIMATORS:

@@ -49,13 +49,16 @@ def _as_float_array(x, name="x"):
     return arr
 
 
-def _maybe_scalar(value, like):
-    return float(value) if np.isscalar(like) or np.ndim(like) == 0 else value
+def _maybe_scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _check_nu(nu):
-    nu = float(nu)
-    if not np.isfinite(nu) or nu <= 0:
+    """``nu`` as a float, or as a float array unless it is a scalar;
+    ValueError unless every element is positive and finite."""
+    nu = float(nu) if np.isscalar(nu) else np.asarray(nu, dtype=float)
+    ok = 0.0 < nu < np.inf if isinstance(nu, float) else np.all((nu > 0) & (nu < np.inf))
+    if not ok:
         raise ValueError(f"degrees of freedom must be positive, got {nu!r}")
     return nu
 
@@ -68,7 +71,7 @@ def zeta0(x):
     Monotone nondecreasing, with limit log(2) as x -> +inf.
     """
     arr = _as_float_array(x)
-    return _maybe_scalar(_LOG2 + special.log_ndtr(arr), x)
+    return _maybe_scalar(_LOG2 + special.log_ndtr(arr))
 
 
 def zeta1(x):
@@ -78,7 +81,7 @@ def zeta1(x):
     the ratio accurate where both factors underflow.  Strictly positive,
     ~ -x as x -> -inf and -> 0 as x -> +inf.
     """
-    return _maybe_scalar(_zeta1(_as_float_array(x)), x)
+    return _maybe_scalar(_zeta1(_as_float_array(x)))
 
 
 def _zeta1(arr: np.ndarray) -> np.ndarray:
@@ -89,11 +92,12 @@ def _zeta1(arr: np.ndarray) -> np.ndarray:
 def t_logpdf(x, nu):
     """Log density of the Student t distribution with ``nu`` d.f. (non-integer ok)."""
     nu = _check_nu(nu)
-    return _maybe_scalar(_t_logpdf(_as_float_array(x), nu), x)
+    return _maybe_scalar(_t_logpdf(_as_float_array(x), nu))
 
 
-def _t_logpdf(arr: np.ndarray, nu: float) -> np.ndarray:
-    """:func:`t_logpdf` on a finite float array and a checked positive ``nu``."""
+def _t_logpdf(arr: np.ndarray, nu) -> np.ndarray:
+    """:func:`t_logpdf` on a finite float array and a checked positive ``nu``,
+    a float or an array broadcast against ``arr``."""
     return (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
             - 0.5 * np.log(nu * np.pi) - 0.5 * (nu + 1.0) * np.log1p(arr * arr / nu))
 
@@ -113,33 +117,27 @@ def t_cdf(x, nu):
     arr = _as_float_array(x)
     tail = 0.5 * special.betainc(nu / 2.0, 0.5, nu / (nu + arr * arr))
     out = np.where(arr <= 0, tail, 1.0 - tail)
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(out)
 
 
 def t_logcdf(x, nu):
     """log T(x; nu), stable for x << 0.
 
-    Uses log of the incomplete-beta tail; if that underflows (only for
-    astronomically large |x|) it falls back to the leading algebraic
-    tail term T(x) ~ t(x) |x| / nu.
+    ``nu`` may be a float or an array broadcast against ``x``; the
+    result has their broadcast shape.  Uses log of the incomplete-beta
+    tail; if that underflows (only for astronomically large |x|) it
+    falls back to the leading algebraic tail term T(x) ~ t(x) |x| / nu.
     """
     nu = _check_nu(nu)
-    arr = np.atleast_1d(_as_float_array(x))
-    out = np.empty_like(arr)
-    neg = arr <= 0
-    tail = 0.5 * special.betainc(nu / 2.0, 0.5, nu / (nu + arr[neg] ** 2))
+    arr = _as_float_array(x)
+    tail = 0.5 * special.betainc(nu / 2.0, 0.5, nu / (nu + arr * arr))
     with np.errstate(divide="ignore"):
-        log_tail = np.log(tail)
-    bad = ~np.isfinite(log_tail)
+        out = np.where(arr <= 0, np.log(tail), np.log1p(-tail))
+    bad = ~np.isfinite(out)
     if np.any(bad):
-        xb = arr[neg][bad]
-        log_tail[bad] = _t_logpdf(xb, nu) + np.log(np.abs(xb)) - np.log(nu)
-    out[neg] = log_tail
-    pos = ~neg
-    if np.any(pos):
-        xp = arr[pos]
-        out[pos] = np.log1p(-0.5 * special.betainc(nu / 2.0, 0.5, nu / (nu + xp * xp)))
-    return _maybe_scalar(out if np.ndim(x) else out[0], x)
+        xb, nub = (np.broadcast_to(v, out.shape)[bad] for v in (arr, nu))
+        out[bad] = _t_logpdf(xb, nub) + np.log(np.abs(xb)) - np.log(nub)
+    return _maybe_scalar(out)
 
 
 def zeta1_t(x, nu):
@@ -151,7 +149,7 @@ def zeta1_t(x, nu):
     nu = _check_nu(nu)
     arr = _as_float_array(x)
     out = np.exp(_t_logpdf(arr, nu) - t_logcdf(arr, nu))
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(out)
 
 
 @lru_cache(maxsize=16)

@@ -847,6 +847,7 @@ BATCH_CLASSES = {
     "alpha_pinned": (FREE_MAP_SN1, ModelSpec(fixed={"alpha": -2.2})),
     "st_pin": (BATCH_TRUTH_ST1, ModelSpec(family="st", fixed={"nu": 4.0})),
     "st_free": (BATCH_TRUTH_ST1, ModelSpec(family="st")),
+    "st_free_bfgs": (BATCH_TRUTH_ST1, ModelSpec(family="st")),
     "d2": (FREE_MAP_SN2, ModelSpec(dimension=2)),
     "d2_st_pin": (FREE_MAP_ST2, ModelSpec(family="st", dimension=2, fixed={"nu": 5.0})),
     "d2_st_free": (FREE_MAP_ST2, ModelSpec(family="st", dimension=2)),
@@ -856,6 +857,15 @@ BATCH_CLASSES = {
 
 
 CHOLESKY_FAILS = "Cholesky fails"
+
+
+def batch_rows(name, x, rng):
+    """40 random rows about x, or for a "_bfgs" class the stack one BFGS step
+    evaluates: x and x -+ h e_i, where only the two log-nu rows carry their own nu."""
+    if name.endswith("_bfgs"):
+        steps = np.diag(1e-6 * np.maximum(1.0, np.abs(x)))
+        return np.vstack([x, x - steps, x + steps])
+    return x + rng.normal(scale=0.5, size=(40, len(x)))
 
 
 def invalid_rows(fmap, x):
@@ -903,7 +913,7 @@ def test_batch_objective_equals_per_point_objective(name, penalized):
     penalty = model_penalty(spec) if penalized else None
     rng = np.random.default_rng(seeded(17, len(name), penalized))
     x = fmap.pack(truth)
-    random_rows = x + rng.normal(scale=0.5, size=(40, len(x)))
+    random_rows = batch_rows(name, x, rng)
     bad = invalid_rows(fmap, x)
     X = np.vstack([random_rows, *bad.values()]) if bad else random_rows
     point = point_objective(data, spec, fmap, penalty)

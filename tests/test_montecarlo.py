@@ -289,14 +289,18 @@ class TestStudyConfig:
         ("workers", -3),
         ("workers", 0),
         ("workers", 2.0),
+        ("replicates", 2.5),
+        ("replicates", True),
     ])
     def test_rejects_bad_sizes_and_workers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             three_param_config(**{field: value})
 
     def test_accepts_numpy_integer_sizes(self):
-        cfg = three_param_config(sample_sizes=np.array([30, 20]), workers=np.int64(2))
+        cfg = three_param_config(sample_sizes=np.array([30, 20]), workers=np.int64(2),
+                                 replicates=np.int64(3))
         assert cfg.sample_sizes == (30, 20) and all(type(n) is int for n in cfg.sample_sizes)
+        assert type(cfg.replicates) is int and cfg.replicates == 3
 
 
 @pytest.fixture(scope="module")

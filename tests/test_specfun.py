@@ -4,6 +4,7 @@ from scipy import integrate
 
 from penskew.specfun import (
     QuadratureError,
+    _check_nu,
     _gauss_hermite,
     expect_normal,
     expect_t,
@@ -132,6 +133,44 @@ class TestZeta1T:
 
     def test_positive(self):
         assert np.all(zeta1_t(np.linspace(-60, 60, 121), 1.5) > 0)
+
+
+class TestArrayNu:
+    """An array nu broadcasts against x, each element bit-equal to its scalar call."""
+
+    # mixed signs, signed zeros, and |x| far enough out for the algebraic-tail
+    # fallback: finite at -1e120 for nu >= 3, -inf (zeta1_t NaN) at -1e200
+    X = np.array([-1e200, -1e120, -50.0, -2.5, -0.0, 0.0, 0.7, 3.0, 40.0, 1e120, 1e200])
+    NU = np.array([[0.6], [3.0], [4.0], [5.0], [57.5]])
+
+    @pytest.mark.parametrize("fn", [t_logcdf, zeta1_t])
+    def test_equals_scalar_calls(self, fn):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(self.X, self.NU)
+            scalar = [[fn(x, nu) for x in self.X] for nu in self.NU[:, 0]]
+        assert out.shape == (len(self.NU), len(self.X))
+        assert np.array_equal(out, scalar, equal_nan=True)
+
+    def test_fallback_is_reached(self):
+        # the incomplete-beta tail underflows at -1e120 for nu >= 3; the
+        # algebraic tail term keeps log T finite
+        assert np.all(np.isfinite(t_logcdf(-1e120, self.NU[1:, 0])))
+
+    @pytest.mark.parametrize("fn", [t_logcdf, zeta1_t])
+    def test_broadcast_shape(self, fn):
+        nu = self.NU[:, 0]
+        assert fn(self.X[2:9, None], nu).shape == (7, len(nu))
+        assert np.array_equal(fn(-2.5, nu), [fn(-2.5, v) for v in nu])
+        assert np.array_equal(fn(self.X[2:7], nu), [fn(x, v) for x, v in zip(self.X[2:7], nu)])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_any_bad_element(self, bad):
+        nu = np.array([[2.0], [bad], [5.0]])
+        with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+            _check_nu(nu)
+        for fn in (t_logcdf, zeta1_t):
+            with pytest.raises(ValueError):
+                fn(np.zeros(4), nu)
 
 
 class TestGaussHermite:
