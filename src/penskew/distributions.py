@@ -201,35 +201,10 @@ class Dataset:
         return buf.getvalue()
 
 
-def _check_x(x, d):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-        squeeze = True
-    elif arr.ndim == 1:
-        # for d = 1 a flat vector is n scalar observations; otherwise one point
-        if d == 1:
-            squeeze = arr.shape[0] == 1
-            arr = arr[:, None]
-        else:
-            squeeze = True
-            arr = arr[None, :]
-    elif arr.ndim == 2:
-        squeeze = False
-    else:
-        raise ValueError(f"x must be at most 2-D, got shape {arr.shape}")
-    if arr.shape[1] != d:
-        raise ValueError(f"x has dimension {arr.shape[1]}, parameters have {d}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    return arr, squeeze
-
-
 def _mahalanobis_and_logdet(v, omega_mat):
-    """Squared Mahalanobis distances of the rows of ``v``, and log det Omega.
+    """Squared Mahalanobis distances of a stack of samples, and the log-determinants.
 
-    ``v`` (n, d) and ``omega_mat`` (d, d) give n distances and one
-    log-determinant; stacks (m, n, d) and (m, d, d) give (m, n) and (m,).
+    Stacks ``v`` (m, n, d) and ``omega_mat`` (m, d, d) give (m, n) and (m,).
     One Cholesky call factors the stack; each triangular solve is LAPACK's
     trtrs on one matrix, called as ``scipy.linalg.solve_triangular(chol,
     v.T, lower=True)`` calls it, so every member of a stack is bit-equal to
@@ -252,20 +227,69 @@ def _mahalanobis_and_logdet(v, omega_mat):
     return qx, 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
+def _mv_terms(rows, xi, omega_mat, alpha) -> tuple:
+    """Squared Mahalanobis distances qx, log det Omega and u = alpha' omega^-1 (y - xi)
+    of the (n, d) sample ``rows`` under each row of a stack: (m, n), (m,) and (m, n).
+
+    Each row's xi and omegas are tiled to the sample's n d values, so the
+    elementwise passes run along them.  Raises as :func:`_mahalanobis_and_logdet`.
+    """
+    n, d = rows.shape
+    v = rows.reshape(-1) - np.tile(xi, n)
+    qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat)
+    omega_diag = np.sqrt(np.diagonal(omega_mat, axis1=1, axis2=2))
+    u = np.matmul((v / np.tile(omega_diag, n)).reshape(-1, n, d), alpha[:, :, None])[..., 0]
+    return qx, logdet, u
+
+
+def _stack_log_terms(rows, xi, omega_mat, alpha, nu):
+    """(m, n) log densities of the (n, d) sample ``rows`` under each row of a stack
+    (xi, omega_mat, alpha) of :func:`_mv_terms`; ``nu`` is None (skew-normal), a
+    float or an (m, 1) column."""
+    qx, logdet, u = _mv_terms(rows, xi, omega_mat, alpha)
+    d, logdet = rows.shape[1], logdet[:, None]
+    if nu is None:
+        return -0.5 * d * _LOG2PI - 0.5 * logdet - 0.5 * qx + zeta0(u)
+    return _st_log_terms(qx, logdet, u, d, nu)
+
+
+def _logpdf(x, params: DirectParams):
+    """Log densities at the points ``x`` under ``params``, evaluated as a one-row stack."""
+    d, arr = params.d, np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+        squeeze = True
+    elif arr.ndim == 1:
+        # for d = 1 a flat vector is n scalar observations; otherwise one point
+        if d == 1:
+            squeeze = arr.shape[0] == 1
+            arr = arr[:, None]
+        else:
+            squeeze = True
+            arr = arr[None, :]
+    elif arr.ndim == 2:
+        squeeze = False
+    else:
+        raise ValueError(f"x must be at most 2-D, got shape {arr.shape}")
+    if arr.shape[1] != d:
+        raise ValueError(f"x has dimension {arr.shape[1]}, parameters have {d}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
+    out = _stack_log_terms(arr, params.xi[None], params.omega_mat[None], params.alpha[None],
+                           params.nu)[0]
+    return float(out[0]) if squeeze else out
+
+
 def sn_logpdf(x, params: DirectParams):
     """Log density of the (multivariate) skew-normal distribution.
 
-    log of 2 phi_d(x - xi; Omega) Phi(alpha' omega^-1 (x - xi)); the
-    Phi factor is evaluated through the stable log-CDF.
+    log of 2 phi_d(x - xi; Omega) Phi(alpha' omega^-1 (x - xi)), evaluated
+    as a one-row stack of :func:`_stack_log_terms`; the Phi factor goes
+    through the stable log-CDF.
     """
     if params.is_skew_t:
         raise ValueError("params carry nu; use st_logpdf")
-    arr, squeeze = _check_x(x, params.d)
-    v = arr - params.xi
-    qx, logdet = _mahalanobis_and_logdet(v, params.omega_mat)
-    u = (v / params.omega_diag) @ params.alpha
-    out = _sn_log_terms(qx, logdet, u, params.d)
-    return float(out[0]) if squeeze else out
+    return _logpdf(x, params)
 
 
 def st_logpdf(x, params: DirectParams):
@@ -274,24 +298,15 @@ def st_logpdf(x, params: DirectParams):
     log of 2 t_d(x - xi; Omega, nu) T(sqrt((d + nu)/(Q + nu)) alpha'
     omega^-1 (x - xi); nu + d) with Q the squared Mahalanobis distance.
     Converges pointwise to the skew-normal log density as nu -> inf.
+    Evaluated as a one-row stack of :func:`_stack_log_terms`.
     """
     if not params.is_skew_t:
         raise ValueError("params carry no nu; use sn_logpdf")
-    arr, squeeze = _check_x(x, params.d)
-    v = arr - params.xi
-    qx, logdet = _mahalanobis_and_logdet(v, params.omega_mat)
-    u = (v / params.omega_diag) @ params.alpha
-    out = _st_log_terms(qx, logdet, u, params.d, params.nu)
-    return float(out[0]) if squeeze else out
-
-
-def _sn_log_terms(qx, logdet, u, d):
-    """Per-observation skew-normal log densities from raw arrays, as :func:`_st_log_terms`."""
-    return -0.5 * d * _LOG2PI - 0.5 * logdet - 0.5 * qx + zeta0(u)
+    return _logpdf(x, params)
 
 
 def _st_log_terms(qx, logdet, u, d, nu):
-    """Per-observation skew-t log densities from raw arrays.
+    """Per-observation skew-t log densities of :func:`_mv_terms`' arrays.
 
     ``qx`` holds the squared Mahalanobis distances, ``logdet`` is
     log det Omega and ``u`` holds alpha' omega^-1 (x - xi); ``nu`` is a

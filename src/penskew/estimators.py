@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize, special
 
-from .distributions import (Dataset, DirectParams, _alpha_star, _mahalanobis_and_logdet,
-                            _sn_log_terms, _st_log_terms)
+from .distributions import (Dataset, DirectParams, _alpha_star, _mv_terms, _st_log_terms,
+                            _stack_log_terms)
 from .likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, resolve_penalty
 from .penalty import PenaltyCoeffs, q_value
 from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
@@ -149,7 +149,8 @@ class _FreeMap:
     the scale and nu blocks differently.  Optimizer coordinates use
     log omega (d = 1), a Cholesky factor with log diagonal (d > 1), and
     log nu; ``direct`` coordinates are (xi, omega | vech Omega, alpha, nu)
-    for information matrices.
+    for information matrices.  :meth:`stack` decodes any vectors, one as
+    a one-row stack; only the d = 1 objective decodes through :meth:`rows`.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -170,26 +171,23 @@ class _FreeMap:
         self.direct_names = names
         self.n_free = len(names)
         self._xi, self._scale, self._alpha, _ = slices  # nu, when free, is x[-1]
-        # scale codecs (encode DirectParams -> block, decode block -> Omega)
+        # scale codecs (encode DirectParams -> block, decode a stack of blocks -> Omegas)
         if d == 1:
-            self._log_scale = (lambda p: [math.log(p.omega)],
-                               lambda b: np.array([[math.exp(2.0 * b[0])]]))
-            self._raw_scale = (lambda p: [p.omega], lambda b: np.reshape(  # a block or a stack
-                [float(v) ** 2 for v in b.ravel()], b.shape[:-1] + (1, 1)))
+            self._log_scale = (lambda p: [math.log(p.omega)], lambda B: np.reshape(
+                [_exp_or_inf(2.0 * v) for v in B[:, 0].tolist()], (-1, 1, 1)))
+            self._raw_scale = (lambda p: [p.omega], lambda B: np.reshape(
+                [v ** 2 for v in B[:, 0].tolist()], (-1, 1, 1)))
         else:
             self._log_scale = (self._log_cholesky, self._from_log_cholesky)
             self._raw_scale = (lambda p: p.omega_mat[self._tril], self._from_vech)
 
-    def _fixed_xi(self):
-        return np.broadcast_to(np.asarray(self.spec.fixed["xi"], dtype=float), (self.d,))
+    def _fixed(self, key):
+        return np.broadcast_to(np.asarray(self.spec.fixed[key], dtype=float), (self.d,))
 
     def _fixed_omega_mat(self):
         if "omega" in self.spec.fixed:
             return np.array([[float(self.spec.fixed["omega"]) ** 2]])
         return np.asarray(self.spec.fixed["omega_mat"], dtype=float)
-
-    def _fixed_alpha(self):
-        return np.broadcast_to(np.asarray(self.spec.fixed["alpha"], dtype=float), (self.d,))
 
     def _log_cholesky(self, params: DirectParams) -> np.ndarray:
         chol = np.linalg.cholesky(params.omega_mat)
@@ -223,41 +221,36 @@ class _FreeMap:
             out.append(nu(params.nu))
         return np.asarray(out, dtype=float)
 
-    def _split(self, x: np.ndarray, scale, nu) -> tuple:
-        """(xi, omega_mat, alpha, nu) of free vector ``x``; ``scale`` and ``nu`` decode."""
-        xi = np.asarray(x[self._xi], dtype=float) if self.free_xi else self._fixed_xi()
-        omega_mat = scale(x[self._scale]) if self.free_scale else self._fixed_omega_mat()
-        alpha = np.asarray(x[self._alpha], dtype=float) if self.free_alpha else self._fixed_alpha()
-        nu_value = nu(x[-1]) if self.free_nu else self.spec.fixed.get("nu")
-        return xi, omega_mat, alpha, (float(nu_value) if nu_value is not None else None)
-
     def pack(self, params: DirectParams) -> np.ndarray:
         return self._pack(params, self._log_scale[0], math.log)
 
     def unpack(self, x: np.ndarray) -> DirectParams:
-        return DirectParams(*self._split(x, self._log_scale[1], math.exp))
+        return DirectParams(*(part[0] for part in self.stack(x[None])))
 
     def direct_pack(self, params: DirectParams) -> np.ndarray:
         return self._pack(params, self._raw_scale[0], float)
 
     def direct_unpack(self, x: np.ndarray) -> DirectParams:
-        return DirectParams(*self._split(x, self._raw_scale[1], float))
+        return DirectParams(*(part[0] for part in self.stack(x[None], direct=True)))
 
     def rows(self, X: np.ndarray) -> list:
-        """(xi, omega, alpha, nu) floats of each row of a d = 1 stack X.
+        """(xi, omega, alpha, nu) floats of each row of a d = 1 optimizer stack X.
 
-        Each row decodes bit for bit as :meth:`unpack` decodes it, omega
+        Each row decodes bit for bit as :meth:`stack` decodes it, omega
         being the square root of its Omega.  An exp that overflows
-        decodes as inf.  nu is None for the skew-normal.
+        decodes as inf.  nu is None for the skew-normal.  The d = 1
+        objective decodes through these lists rather than :meth:`stack`,
+        whose arrays raised its 3-parameter cost from 43.7 to 55.9 us a
+        call and slowed 100 MLE and MPLE 3-parameter fits by 10-12 %.
         """
         m = len(X)
-        xi = X[:, self._xi.start].tolist() if self.free_xi else [float(self._fixed_xi()[0])] * m
+        xi = X[:, self._xi.start].tolist() if self.free_xi else [float(self._fixed("xi")[0])] * m
         if self.free_scale:
             omega = [math.sqrt(_exp_or_inf(2.0 * b)) for b in X[:, self._scale.start].tolist()]
         else:
             omega = [math.sqrt(self._fixed_omega_mat()[0, 0])] * m
         alpha = (X[:, self._alpha.start].tolist() if self.free_alpha
-                 else [float(self._fixed_alpha()[0])] * m)
+                 else [float(self._fixed("alpha")[0])] * m)
         if self.free_nu:
             nu = [_exp_or_inf(v) for v in X[:, -1].tolist()]
         else:
@@ -267,21 +260,19 @@ class _FreeMap:
     def stack(self, X: np.ndarray, direct: bool = False) -> tuple:
         """(xi, omega_mat, alpha, nu) of each row of a stack X.
 
-        X holds optimizer vectors of a d > 1 model, or with ``direct``
-        direct vectors of any d.  xi and alpha are (m, d) arrays,
-        omega_mat is (m, d, d) and nu a list of m floats, or of None for
-        the skew-normal.  Each row decodes bit for bit as :meth:`unpack`
-        or :meth:`direct_unpack` decodes it; an exp that overflows
+        X holds free vectors of a model of any d, in optimizer
+        coordinates or, with ``direct``, in direct ones.  xi and alpha
+        are (m, d) arrays, omega_mat is (m, d, d) and nu a list of m
+        floats, or of None for the skew-normal.  An exp that overflows
         decodes as inf.
         """
         m, d = len(X), self.d
-        scale, nu_of = (self._raw_scale[1], float) if direct else (self._from_log_cholesky,
-                                                                    _exp_or_inf)
-        xi = X[:, self._xi] if self.free_xi else np.broadcast_to(self._fixed_xi(), (m, d))
+        (_, scale), nu_of = (self._raw_scale, float) if direct else (self._log_scale, _exp_or_inf)
+        xi = X[:, self._xi] if self.free_xi else np.broadcast_to(self._fixed("xi"), (m, d))
         omega_mat = (scale(X[:, self._scale]) if self.free_scale
                      else np.broadcast_to(self._fixed_omega_mat(), (m, d, d)))
         alpha = (X[:, self._alpha] if self.free_alpha
-                 else np.broadcast_to(self._fixed_alpha(), (m, d)))
+                 else np.broadcast_to(self._fixed("alpha"), (m, d)))
         if self.free_nu:
             nu = [nu_of(v) for v in X[:, -1].tolist()]
         else:
@@ -356,8 +347,6 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
 def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
                   penalty: Callable | None) -> Callable:
     """The d > 1 objective of :func:`_neg_loglik_factory` on the sample ``rows``."""
-    (n, d), flat = rows.shape, rows.reshape(-1)
-
     def objective(X):
         out = np.full(len(X), _BIG)
         xi, omega_mat, alpha, nu = fmap.stack(X)
@@ -367,17 +356,17 @@ def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
             ok &= np.array([_nu_in_range(v) for v in nu], dtype=bool)
         idx = np.flatnonzero(ok)
         try:
-            qx, logdet, u = _mv_terms(flat, n, d, xi[idx], omega_mat[idx], alpha[idx])
+            qx, logdet, u = _mv_terms(rows, xi[idx], omega_mat[idx], alpha[idx])
         except np.linalg.LinAlgError:
             # factor row by row, so that only the rows that fail keep _BIG
             idx = idx[[_factors(omega_mat[i]) for i in idx]]
-            qx, logdet, u = _mv_terms(flat, n, d, xi[idx], omega_mat[idx], alpha[idx])
+            qx, logdet, u = _mv_terms(rows, xi[idx], omega_mat[idx], alpha[idx])
         w = alpha[idx] / np.sqrt(diag[idx])
         if spec.family == "sn":
-            ll = np.sum(-0.5 * d * np.log(2 * np.pi) - 0.5 * logdet[:, None] - 0.5 * qx
+            ll = np.sum(-0.5 * fmap.d * np.log(2 * np.pi) - 0.5 * logdet[:, None] - 0.5 * qx
                         + np.log(2.0) + special.log_ndtr(u), axis=-1)
         else:
-            ll = np.sum(_st_log_terms(qx, logdet[:, None], u, d,
+            ll = np.sum(_st_log_terms(qx, logdet[:, None], u, fmap.d,
                                       _nu_arg([nu[i] for i in idx.tolist()])), axis=-1)
         for j, (i, value) in enumerate(zip(idx.tolist(), ll.tolist())):
             if math.isfinite(value):
@@ -387,21 +376,6 @@ def _mv_objective(rows: np.ndarray, spec: ModelSpec, fmap: _FreeMap,
         return out
 
     return objective
-
-
-def _mv_terms(flat, n, d, xi, omega_mat, alpha) -> tuple:
-    """Squared Mahalanobis distances qx, log det Omega and u = alpha' omega^-1 (y - xi)
-    of each row of a d > 1 stack, on the sample flattened to ``flat``.
-
-    Each row's xi and omegas are tiled to the sample's n d values, so the
-    elementwise passes run along them.  Raises ``LinAlgError`` when a
-    matrix has no Cholesky factor.
-    """
-    v = flat - np.tile(xi, n)
-    qx, logdet = _mahalanobis_and_logdet(v.reshape(-1, n, d), omega_mat)
-    omega_diag = np.sqrt(np.diagonal(omega_mat, axis1=1, axis2=2))
-    u = np.matmul((v / np.tile(omega_diag, n)).reshape(-1, n, d), alpha[:, :, None])[..., 0]
-    return qx, logdet, u
 
 
 def _factors(omega_mat: np.ndarray) -> bool:
@@ -495,17 +469,23 @@ def _nu_at_bound(objective, fmap: _FreeMap, params: DirectParams) -> bool:
     return bool(min(f[1], f[2]) - f[0] <= _NU_EDGE_TOL)
 
 
+def _moment_shape(g1) -> tuple:
+    """(mean, delta, alpha) of the SN(0, 1, alpha) with index of skewness ``g1``;
+    g1 is clipped to +-0.9 and delta to +-0.995, so every value is finite."""
+    c = np.cbrt(2.0 * np.clip(g1, -0.9, 0.9) / (4.0 - np.pi))
+    mz = c / np.sqrt(1.0 + c * c)
+    delta = np.clip(mz * np.sqrt(np.pi / 2.0), -0.995, 0.995)
+    return mz, delta, delta / np.sqrt(1.0 - delta * delta)
+
+
 def _shape_moment_alpha(z: np.ndarray) -> np.ndarray:
     """Shape-only moment estimate: match the skewness of standardized data ``z``.
 
     Works along axis 0, so a 2-D ``z`` gives one estimate per column and
     a 1-D ``z`` gives a scalar.
     """
-    g1z = np.mean(z**3, axis=0) / np.maximum(np.mean(z**2, axis=0), 1e-12) ** 1.5
-    cz = np.cbrt(2.0 * np.clip(g1z, -0.9, 0.9) / (4.0 - np.pi))
-    mzz = cz / np.sqrt(1.0 + cz * cz)
-    dz = np.clip(mzz * np.sqrt(np.pi / 2.0), -0.995, 0.995)
-    return dz / np.sqrt(1.0 - dz * dz)
+    return _moment_shape(np.mean(z**3, axis=0)
+                         / np.maximum(np.mean(z**2, axis=0), 1e-12) ** 1.5)[2]
 
 
 def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
@@ -515,15 +495,13 @@ def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
     m = rows.mean(axis=0)
     s = rows.std(axis=0)
     s[s == 0] = 1.0
-    g1 = np.mean(((rows - m) / s) ** 3, axis=0)
-    c = np.cbrt(2.0 * np.clip(g1, -0.9, 0.9) / (4.0 - np.pi))
-    mz = c / np.sqrt(1.0 + c * c)
-    delta = np.clip(mz * np.sqrt(np.pi / 2.0), -0.995, 0.995)
+    # alpha is the start of a d = 1 model with xi or omega free
+    mz, delta, alpha = _moment_shape(np.mean(((rows - m) / s) ** 3, axis=0))
     omega = s / np.sqrt(np.maximum(1.0 - mz * mz, 1e-3))
     xi = m - omega * mz
 
     if "xi" in spec.fixed:
-        xi = fmap._fixed_xi().copy()
+        xi = fmap._fixed("xi").copy()
     if not fmap.free_scale:
         omega_mat = fmap._fixed_omega_mat()
         omega = np.sqrt(np.diag(omega_mat))
@@ -535,13 +513,11 @@ def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
         omega_mat = corr * np.outer(omega, omega)
 
     if "alpha" in spec.fixed:
-        alpha = fmap._fixed_alpha().copy()
+        alpha = fmap._fixed("alpha").copy()
     elif not fmap.free_xi and not fmap.free_scale:
         # shape-only model: moment-match on the standardized data
         alpha = _shape_moment_alpha((rows - xi) / omega)
-    elif d == 1:
-        alpha = delta / np.sqrt(1.0 - delta * delta)
-    else:
+    elif d > 1:
         omega_bar = omega_mat / np.outer(np.sqrt(np.diag(omega_mat)), np.sqrt(np.diag(omega_mat)))
         sol = np.linalg.solve(omega_bar, delta)
         quad = float(delta @ sol)
@@ -723,10 +699,17 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MLE", (thr,))
-    objective = _neg_loglik_factory(data, spec, fmap, None)
+    return _fit_bfgs(data, spec, fmap, None, thr)
+
+
+def _fit_bfgs(data: Dataset, spec: ModelSpec, fmap: _FreeMap, penalty: Callable | None,
+              thr: float = math.inf) -> FitResult:
+    """The MLE (``penalty`` None) or MPLE: one quasi-Newton search from the moment start,
+    then :func:`fit_mle`'s clamp at ``thr``, before the check for a finite optimum."""
+    objective = _neg_loglik_factory(data, spec, fmap, penalty)
     log = _SearchLog()
     res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)))
-    params = fmap.unpack(res.x)
+    params, ll, diverged = fmap.unpack(res.x), -float(res.fun), False
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
         if fmap.free_xi or fmap.free_scale or fmap.free_nu:
@@ -735,12 +718,17 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
             params = replace(params, alpha=clamped)
             ll = -float(objective(fmap.pack(params)[None])[0])
             log.evaluations += 1
-        return FitResult(method="MLE", estimates=params, loglik_at_opt=ll, diverged=True,
-                         **log.fields(), nu_at_bound=_nu_at_bound(objective, fmap, params))
-    if not np.isfinite(res.fun) or res.fun >= _BIG:
-        raise OptimizationError("likelihood optimization failed to find a finite optimum")
-    return FitResult(method="MLE", estimates=params, loglik_at_opt=-float(res.fun),
-                     **log.fields(), nu_at_bound=_nu_at_bound(objective, fmap, params))
+        diverged = True
+    elif not np.isfinite(res.fun) or res.fun >= _BIG:
+        raise OptimizationError(f"{'likelihood' if penalty is None else 'penalized'} "
+                                "optimization failed to find a finite optimum")
+    if penalty is None:
+        fields = dict(method="MLE", loglik_at_opt=ll, diverged=diverged)
+    else:
+        fields = dict(method="MPLE", loglik_at_opt=loglik(params, data, spec),
+                      penalized_loglik_at_opt=ll, penalty=resolve_penalty(spec, params.nu))
+    return FitResult(estimates=params, **fields, **log.fields(),
+                     nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 
 # the shape-only MPLE's first bracket end; the later ones double it
@@ -765,16 +753,7 @@ def fit_mple(data: Dataset, spec: ModelSpec) -> FitResult:
     else:
         coeffs = resolve_penalty(spec)
         penalty_fn = lambda a2, nu: q_value(coeffs, a2)
-    objective = _neg_loglik_factory(data, spec, fmap, penalty_fn)
-    log = _SearchLog()
-    res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)))
-    params = fmap.unpack(res.x)
-    if not np.isfinite(res.fun) or res.fun >= _BIG:
-        raise OptimizationError("penalized optimization failed to find a finite optimum")
-    return FitResult(method="MPLE", estimates=params, loglik_at_opt=loglik(params, data, spec),
-                     penalized_loglik_at_opt=-float(res.fun), **log.fields(),
-                     penalty=resolve_penalty(spec, params.nu),
-                     nu_at_bound=_nu_at_bound(objective, fmap, params))
+    return _fit_bfgs(data, spec, fmap, penalty_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,11 +983,8 @@ def _stack_loglik(data: Dataset, xi, omega_mat, alpha, nu) -> np.ndarray:
     d = 1 kernels on (m, 1) columns, or the stacked d > 1 terms summed as
     the log densities sum them.
     """
-    n, d = data.rows.shape
     nu = _nu_arg(nu)
-    if d == 1:
+    if data.d == 1:
         cols = (data.column(0), xi, np.sqrt(omega_mat[:, :, 0]), alpha)
         return _sn1_loglik(*cols) if nu is None else _st1_loglik(*cols, nu)
-    qx, logdet, u = _mv_terms(data.rows.reshape(-1), n, d, xi, omega_mat, alpha)
-    terms = (qx, logdet[:, None], u, d)
-    return np.sum(_sn_log_terms(*terms) if nu is None else _st_log_terms(*terms, nu), axis=-1)
+    return np.sum(_stack_log_terms(data.rows, xi, omega_mat, alpha, nu), axis=-1)

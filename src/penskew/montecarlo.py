@@ -2,12 +2,12 @@
 
 Per-replicate seeds come from a splittable SeedSequence keyed by
 (sample size, replicate index), so results are reproducible bit for bit
-regardless of worker count or execution order.  A parallel study runs
-on one process pool: every sample size is cut into chunks of
-max(16, R // (8 W)) consecutive replicates, the chunks are submitted
-largest sample size first, and the results are put back together per
-sample size in replicate order, so ``workers`` changes the speed of a
-study, never its output.
+regardless of worker count or execution order.  Every study runs one
+task list: every sample size is cut into chunks of max(16, R // (8 W))
+consecutive replicates, largest sample size first.  With ``workers``
+None or 1 the tasks run in this process, otherwise on one process pool,
+and the results are put back together per sample size in replicate
+order, so ``workers`` changes the speed of a study, never its output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import logging
 import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -92,8 +93,11 @@ class StudyConfig:
         if not (_is_int(self.replicates) and self.replicates >= 1):
             raise ValueError(f"replicates must be an integer of at least 1, "
                              f"got {self.replicates!r}")
+        if not (_is_int(self.base_seed) and self.base_seed >= 0):
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "fixed", dict(self.fixed))
         _check_divergence_threshold(self.divergence_threshold)
@@ -289,7 +293,7 @@ _MIN_CHUNK = 16
 
 
 def _pool_tasks(config: StudyConfig) -> list:
-    """The (config, n, replicates) tasks of a parallel study, in submission order.
+    """The (config, n, replicates) tasks of a study, in submission order.
 
     Each sample size is cut into runs of consecutive replicates, R // (8 W)
     long but at least ``_MIN_CHUNK``, and the largest sample size comes
@@ -297,7 +301,7 @@ def _pool_tasks(config: StudyConfig) -> list:
     workers' last gaps.
     """
     R = config.replicates
-    chunk = max(_MIN_CHUNK, R // (config.workers * 8))
+    chunk = max(_MIN_CHUNK, R // ((config.workers or 1) * 8))
     return [(config, n, range(i, min(i + chunk, R)))
             for n in sorted(config.sample_sizes, reverse=True)
             for i in range(0, R, chunk)]
@@ -306,19 +310,15 @@ def _pool_tasks(config: StudyConfig) -> list:
 def _replicates_by_n(config: StudyConfig):
     """Yield (n, replicate results in replicate order) for each sample size, in config order.
 
-    With more than one worker, one process pool runs the tasks of
-    ``_pool_tasks``; each task's results are appended to its sample
-    size's list in submission order, which is replicate order, and the
-    sample sizes are yielded once the last task is back.
+    The tasks of ``_pool_tasks`` run in this process, or on one process
+    pool for more than one worker; each task's results are appended to
+    its sample size's list in submission order, which is replicate order.
     """
-    if config.workers in (None, 1):
-        for n in config.sample_sizes:
-            yield n, [_run_replicate(config, n, rep) for rep in range(config.replicates)]
-        return
     tasks = _pool_tasks(config)
     by_n = {n: [] for n in config.sample_sizes}
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for (_, n, _), results in zip(tasks, pool.map(_worker, tasks)):
+    serial = config.workers in (None, 1)
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=config.workers) as pool:
+        for (_, n, _), results in zip(tasks, (map if serial else pool.map)(_worker, tasks)):
             by_n[n].extend(results)
     yield from by_n.items()
 

@@ -98,8 +98,13 @@ def t_logpdf(x, nu):
 def _t_logpdf(arr: np.ndarray, nu) -> np.ndarray:
     """:func:`t_logpdf` on a finite float array and a checked positive ``nu``,
     a float or an array broadcast against ``arr``."""
+    q = arr * arr / nu
+    log1p_q = np.log1p(q)
+    if np.isinf(q).any():  # log1p(q) = 2 log|x| - log nu + log1p(1 / q), where 1 / q rounds away
+        with np.errstate(divide="ignore"):  # np.where drops the log 0 of any x = 0
+            log1p_q = np.where(np.isinf(q), 2.0 * np.log(np.abs(arr)) - np.log(nu), log1p_q)
     return (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
-            - 0.5 * np.log(nu * np.pi) - 0.5 * (nu + 1.0) * np.log1p(arr * arr / nu))
+            - 0.5 * np.log(nu * np.pi) - 0.5 * (nu + 1.0) * log1p_q)
 
 
 def t_pdf(x, nu):

@@ -188,6 +188,7 @@ class TestSimulateCommand:
         ({"sample_sizes": [0]}, "sample_sizes"),
         ({"workers": -3}, "workers"),
         ({"replicates": 2.5}, "replicates"),
+        ({"base_seed": 2.5}, "base_seed"),
     ])
     def test_bad_config_exit_one(self, change, field, tmp_path, capsys):
         cfg = {"true_params": {"xi": 0.0, "omega": 1.0, "alpha": 4.0}, "sample_sizes": [25],

@@ -1,8 +1,9 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg, stats
+from scipy import integrate, linalg, special, stats
 
 from penskew.distributions import (
     Dataset,
@@ -19,6 +20,7 @@ from penskew.distributions import (
     sn_logpdf,
     st_logpdf,
 )
+from penskew.specfun import t_logcdf
 
 HALF_NORMAL_GAMMA1 = 0.9952717464311565  # skewness of the |N(0,1)| boundary case
 
@@ -136,6 +138,42 @@ class TestMahalanobisAndLogdet:
             _mahalanobis_and_logdet(np.array([[np.inf, 0.0]]), np.eye(2))
         qx, logdet = _mahalanobis_and_logdet(np.empty((0, 2)), np.eye(2))
         assert qx.shape == (0,) and logdet == 0.0
+
+
+LOGPDF_CASES = {
+    1: DirectParams(xi=[0.3], omega_mat=[[1.7]], alpha=[-2.2]),
+    2: DirectParams(xi=[0.3, -0.2], omega_mat=[[1.5, 0.4], [0.4, 0.8]], alpha=[2.0, -1.0]),
+    3: DirectParams(xi=[0.0, 1.0, -1.0], alpha=[2.0, -1.0, 0.5],
+                    omega_mat=[[1.0, 0.3, 0.2], [0.3, 2.0, -0.4], [0.2, -0.4, 1.5]]),
+}
+
+
+class TestLogpdfPerMatrix:
+    """The densities, one-row stacks of the fits' terms, against the per-matrix formulas."""
+
+    @staticmethod
+    def reference(rows, params):
+        d, nu = params.d, params.nu
+        v = rows - params.xi
+        qx, logdet = TestMahalanobisAndLogdet.reference(v, params.omega_mat)
+        u = (v / params.omega_diag) @ params.alpha
+        if nu is None:
+            return (-0.5 * d * np.log(2 * np.pi) - 0.5 * logdet - 0.5 * qx
+                    + (np.log(2.0) + special.log_ndtr(u)))
+        log_td = (special.gammaln((nu + d) / 2.0) - special.gammaln(nu / 2.0)
+                  - 0.5 * d * np.log(nu * np.pi) - 0.5 * logdet
+                  - 0.5 * (nu + d) * np.log1p(qx / nu))
+        return np.log(2.0) + log_td + t_logcdf(u * np.sqrt((d + nu) / (qx + nu)), nu + d)
+
+    @pytest.mark.parametrize("nu", [None, 4.5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_point_and_sample(self, d, nu, rng):
+        params = dataclasses.replace(LOGPDF_CASES[d], nu=nu)
+        pdf = sn_logpdf if nu is None else st_logpdf
+        rows = sample(params, 50, rng).rows
+        assert np.array_equal(pdf(rows, params), self.reference(rows, params))
+        point = pdf(rows[0], params)
+        assert type(point) is float and point == self.reference(rows[:1], params)[0]
 
 
 class TestStLogpdf:

@@ -391,14 +391,15 @@ def test_free_map_round_trips(name):
     if fmap.free_nu:
         assert fmap.unpack(x).nu == math.exp(x[-1])
         assert fmap.direct_unpack(xd).nu == xd[-1]
-    # the direct stack codec decodes each row bit for bit as direct_unpack does
-    X = xd + np.array([[0.0], [1e-4], [-2e-4]]) * np.maximum(1.0, np.abs(xd))
-    stacked = fmap.stack(X, direct=True)
-    for r, row in enumerate(X):
-        back = fmap.direct_unpack(row)
-        xi, omega_mat, alpha, nu = (part[r] for part in stacked)
-        assert np.array_equal(xi, back.xi) and np.array_equal(omega_mat, back.omega_mat)
-        assert np.array_equal(alpha, back.alpha) and nu == back.nu
+    # a single vector decodes bit for bit as its row of a stack, in either system
+    for v, unpack, direct in ((x, fmap.unpack, False), (xd, fmap.direct_unpack, True)):
+        X = v + np.array([[0.0], [1e-4], [-2e-4]]) * np.maximum(1.0, np.abs(v))
+        stacked = fmap.stack(X, direct=direct)
+        for r, row in enumerate(X):
+            back = unpack(row)
+            xi, omega_mat, alpha, nu = (part[r] for part in stacked)
+            assert np.array_equal(xi, back.xi) and np.array_equal(omega_mat, back.omega_mat)
+            assert np.array_equal(alpha, back.alpha) and nu == back.nu
     if spec.dimension == 1:
         # the batch objective's row decoder agrees with unpack bit for bit
         back = fmap.unpack(x)
@@ -735,16 +736,32 @@ def point_mahalanobis_and_logdet(v, omega_mat):
     return np.sum(sol * sol, axis=0), 2.0 * np.sum(np.log(np.diag(chol)))
 
 
+def point_decode(fmap, x):
+    """(xi, omega_mat, alpha, nu) of one optimizer vector, decoded on its own."""
+    fixed, d = fmap.spec.fixed, fmap.d
+    xi = x[fmap._xi] if fmap.free_xi else np.broadcast_to(np.asarray(fixed["xi"], float), (d,))
+    if not fmap.free_scale:
+        omega_mat = (np.array([[float(fixed["omega"]) ** 2]]) if "omega" in fixed
+                     else np.asarray(fixed["omega_mat"], float))
+    elif d == 1:
+        omega_mat = np.array([[math.exp(2.0 * x[fmap._scale][0])]])
+    else:
+        omega_mat = fmap._from_log_cholesky(x[fmap._scale])
+    alpha = (x[fmap._alpha] if fmap.free_alpha
+             else np.broadcast_to(np.asarray(fixed["alpha"], float), (d,)))
+    nu = math.exp(x[-1]) if fmap.free_nu else fixed.get("nu")
+    return xi, omega_mat, alpha, None if nu is None else float(nu)
+
+
 def point_objective(data, spec, fmap, penalty):
     """Minus the (penalized) log-likelihood at one free vector, evaluated alone."""
     y = data.column(0) if spec.dimension == 1 else None
     rows = data.rows
     lo_lnu, hi_lnu = _LOG_NU_BOUNDS
-    log_scale = fmap._log_scale[1]
 
     def objective(x):
         try:
-            xi, omega_mat, alpha, nu = fmap._split(x, log_scale, math.exp)
+            xi, omega_mat, alpha, nu = point_decode(fmap, x)
         except (OverflowError, ValueError):
             return _BIG
         if fmap.free_nu and not (lo_lnu <= math.log(nu) <= hi_lnu):
@@ -897,8 +914,9 @@ def invalid_rows(fmap, x):
                             ("nu exp overflow", 800.0)):
             out[name] = x.copy()
             out[name][-1] = value
-    if fmap.free_xi:
-        # (y - xi)^2 overflows: a non-finite log-likelihood
+    if fmap.free_xi and not (fmap.d == 1 and fmap.spec.family == "st"):
+        # (y - xi)^2 overflows: a non-finite log-likelihood (the d = 1 skew-t
+        # log density takes its far-tail form there and stays finite)
         out["non-finite loglik"] = x.copy()
         out["non-finite loglik"][0] = 1e300
     return out
@@ -930,6 +948,18 @@ def test_batch_objective_equals_per_point_objective(name, penalized):
         assert np.all((np.diag(omega_mat) > 1e-12) & (np.diag(omega_mat) <= 1e12))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(omega_mat)
+
+
+@pytest.mark.parametrize("name", ["st_pin", "st_free"])
+def test_skew_t_objective_is_finite_where_the_residual_square_overflows(name):
+    truth, spec = BATCH_CLASSES[name]
+    fmap = _FreeMap(spec)
+    data = sample(truth, 120, seeded(17, len(name)))
+    x = fmap.pack(truth)
+    x[0] = 1e300  # xi: every (y - xi)^2 overflows
+    with np.errstate(over="ignore"):
+        value, = _neg_loglik_factory(data, spec, fmap, None)(x[None])
+        assert value == point_objective(data, spec, fmap, None)(x) < _BIG
 
 
 TRUTH5 = DirectParams.scalar(0.0, 1.0, 5.0)

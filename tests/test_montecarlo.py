@@ -291,6 +291,9 @@ class TestStudyConfig:
         ("workers", 2.0),
         ("replicates", 2.5),
         ("replicates", True),
+        ("base_seed", 2.5),
+        ("base_seed", True),
+        ("base_seed", -3),
     ])
     def test_rejects_bad_sizes_and_workers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):

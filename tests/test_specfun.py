@@ -10,6 +10,7 @@ from penskew.specfun import (
     expect_t,
     t_cdf,
     t_logcdf,
+    t_logpdf,
     t_pdf,
     zeta0,
     zeta1,
@@ -139,7 +140,7 @@ class TestArrayNu:
     """An array nu broadcasts against x, each element bit-equal to its scalar call."""
 
     # mixed signs, signed zeros, and |x| far enough out for the algebraic-tail
-    # fallback: finite at -1e120 for nu >= 3, -inf (zeta1_t NaN) at -1e200
+    # fallback: at -1e120 for nu >= 3, and at -1e200, where x * x overflows
     X = np.array([-1e200, -1e120, -50.0, -2.5, -0.0, 0.0, 0.7, 3.0, 40.0, 1e120, 1e200])
     NU = np.array([[0.6], [3.0], [4.0], [5.0], [57.5]])
 
@@ -171,6 +172,37 @@ class TestArrayNu:
         for fn in (t_logcdf, zeta1_t):
             with pytest.raises(ValueError):
                 fn(np.zeros(4), nu)
+
+
+class TestFarTail:
+    """At |x| = 1e200, where x * x overflows, against 50-digit mpmath values."""
+
+    NU = (0.6, 3.0, 57.5)
+
+    @staticmethod
+    def exact(x, nu):
+        """(log t, log T, t / T) at ``x`` with ``nu`` degrees of freedom."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            x, nu = mp.mpf(x), mp.mpf(nu)
+            log_t = (mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2) - mp.log(nu * mp.pi) / 2
+                     - (nu + 1) / 2 * mp.log1p(x * x / nu))
+            tail = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + x * x), regularized=True) / 2
+            log_cdf = mp.log(tail) if x < 0 else mp.log1p(-tail)
+            return float(log_t), float(log_cdf), float(mp.exp(log_t - log_cdf))
+
+    @pytest.mark.parametrize("x", [-1e200, 1e200])
+    def test_scalar_and_array_nu(self, x):
+        exact = np.array([self.exact(x, nu) for nu in self.NU])
+        fns = (t_logpdf, t_logcdf, zeta1_t)
+        with np.errstate(over="ignore"):
+            got = np.array([[fn(x, nu) for fn in fns] for nu in self.NU])
+            got_array = np.column_stack([fn(x, np.array(self.NU)) for fn in fns])
+        assert np.array_equal(got_array, got)
+        # log T(1e200; 0.6) is -3e-121: the incomplete-beta tail underflows to 0
+        np.testing.assert_allclose(got[:, :2], exact[:, :2], rtol=1e-13, atol=1e-100)
+        # t / T = exp(log t - log T): the difference of logs near -2.7e4 keeps ~1e-12
+        np.testing.assert_allclose(got[:, 2], exact[:, 2], rtol=1e-10)
 
 
 class TestGaussHermite:
