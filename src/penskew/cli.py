@@ -87,8 +87,9 @@ def _cmd_fit(args) -> int:
         else:
             fits["wbar"] = fit_wbar(data, spec, mle, mple)
     for name, fit in fits.items():
+        stop = "" if fit.stop_reason is None else f", stopped on {fit.stop_reason}"
         print(f"{name}: {fit.iterations} iterations, {fit.evaluations} log-likelihood "
-              "evaluations", file=sys.stderr)
+              f"evaluations{stop}", file=sys.stderr)
         for stage, iterations, value in fit.optimizer_trace or ():
             print(f"  {name} stage {stage}: {iterations} iterations, objective {value:.10g}",
                   file=sys.stderr)

@@ -5,13 +5,16 @@ standard errors from the penalized observed information.
 Optimization runs in transformed coordinates (log scale, log nu, raw
 shape) from a method-of-moments start: one quasi-Newton search whose
 value and central-difference gradient come from one evaluation of the
-point and its 2k neighbours as a single stack; its status says whether
-the fit converged.  The stack shares one vectorized log-density pass,
-with a skew-t nu that differs between rows as a column: over an (m x n)
-array for d = 1, through one stacked Cholesky factorization for d > 1.
-The standard errors evaluate the 2k(k+1) points of their
-central-difference Hessian as one such stack too.
-Each point's value is bit-equal to that of a pass of its own.
+point and its 2k neighbours as a single stack.  It runs scipy's BFGS
+iteration and Wolfe line search (the private ``_line_search_wolfe12``)
+directly, with the iterates of ``optimize.minimize``; its status says
+whether the fit converged, and ``FitResult.stop_reason`` why it stopped.
+The stack shares one vectorized log-density pass, with a skew-t nu that
+differs between rows as a column: over an (m x n) array for d = 1,
+through one stacked Cholesky factorization for d > 1.  The standard
+errors evaluate the 2k(k+1) points of their central-difference Hessian
+as one such stack too.  Each point's value is bit-equal to that of a
+pass of its own.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
 alpha plus the estimator's correction.
@@ -25,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize, special
+from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
 from .distributions import (Dataset, DirectParams, _alpha_star, _mv_terms, _st_log_terms,
                             _stack_log_terms)
@@ -82,7 +86,10 @@ class FitResult:
     ``evaluations`` counts the log-likelihood points the search evaluated:
     rows of the objective for the quasi-Newton fits, score evaluations for
     the shape-only ones.  ``nu_at_bound`` flags a free nu that ended at or
-    next to an edge of its search range [0.1, 1e6].
+    next to an edge of its search range [0.1, 1e6].  ``stop_reason`` says
+    why the search behind the estimate ended: "gtol", "maxiter",
+    "line-search" or "non-finite" for BFGS; "root", "one-sign",
+    "zero-score" or "no-sign-change" for the shape-only bracket search.
     """
 
     method: str
@@ -99,6 +106,7 @@ class FitResult:
     penalty: PenaltyCoeffs | None = None
     diagnostics: object = None
     nu_at_bound: bool = False
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if self.diverged and self.method != "MLE":
@@ -124,6 +132,7 @@ class FitResult:
             "optimizer_trace": (None if self.optimizer_trace is None
                                 else [list(stage) for stage in self.optimizer_trace]),
             "nu_at_bound": self.nu_at_bound,
+            "stop_reason": self.stop_reason,
         }
         if est.d == 1:
             out["estimates"]["omega"] = est.omega
@@ -238,10 +247,8 @@ class _FreeMap:
 
         Each row decodes bit for bit as :meth:`stack` decodes it, omega
         being the square root of its Omega.  An exp that overflows
-        decodes as inf.  nu is None for the skew-normal.  The d = 1
-        objective decodes through these lists rather than :meth:`stack`,
-        whose arrays raised its 3-parameter cost from 43.7 to 55.9 us a
-        call and slowed 100 MLE and MPLE 3-parameter fits by 10-12 %.
+        decodes as inf.  nu is None for the skew-normal.  Lists cost the
+        d = 1 objective less than :meth:`stack`'s arrays.
         """
         m = len(X)
         xi = X[:, self._xi.start].tolist() if self.free_xi else [float(self._fixed("xi")[0])] * m
@@ -321,6 +328,7 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     if spec.dimension > 1:
         return _mv_objective(data.rows, spec, fmap, penalty)
     y = data.column(0)
+    y_lo, y_hi, inf = float(y.min()), float(y.max()), math.inf
 
     def objective(X):
         out = np.full(len(X), _BIG)
@@ -328,7 +336,10 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
         for i, (xi, omega, alpha, nu) in enumerate(fmap.rows(X)):
             if fmap.free_nu and not _nu_in_range(nu):
                 continue
-            if not (1e-6 < omega < 1e6) or abs(alpha) > 1e7:
+            # z = (y - xi) / omega must be finite from min y to max y: where it
+            # is not, the skew-t CDF argument is NaN, which t_logcdf refuses
+            if (not (1e-6 < omega < 1e6) or abs(alpha) > 1e7
+                    or not -inf < (y_lo - xi) / omega <= (y_hi - xi) / omega < inf):
                 continue
             valid.append((i, xi, omega, alpha, nu))
         if valid:
@@ -387,11 +398,13 @@ def _factors(omega_mat: np.ndarray) -> bool:
     return True
 
 
-def _bfgs(objective, x0):
+def _bfgs(objective, x0) -> optimize.OptimizeResult:
     """BFGS on central differences, each value and gradient from one batch.
 
     The batch stacks x and its 2k neighbours x +- h e_i with
-    h = 1e-6 max(1, |x_i|).
+    h = 1e-6 max(1, |x_i|).  The loop is scipy's ``_minimize_bfgs`` at
+    gtol = _GTOL and maxiter = _MAXITER, with the iterates, batches and
+    status of ``minimize(method="BFGS", jac=True)`` but not its wrappers.
     """
     k = len(x0)
     # the rows x, x + h_i e_i and x - h_i e_i are x - steps * h; the
@@ -399,29 +412,60 @@ def _bfgs(objective, x0):
     steps = np.zeros((2 * k + 1, k))
     steps[1 + np.arange(k), np.arange(k)] = -1.0
     steps[1 + k + np.arange(k), np.arange(k)] = 1.0
+    last = [None]  # x, value and gradient of the latest batch, as MemoizeJac keeps them
 
-    def value_and_grad(x):
-        h = _GRAD_STEP * np.maximum(1.0, np.abs(x))
-        f = objective(x - steps * h)
-        return f[0], (f[1:k + 1] - f[k + 1:]) / (2.0 * h)
+    def batch(x):
+        if last[0] is None or not np.all(x == last[0]):
+            h = _GRAD_STEP * np.maximum(1.0, np.abs(x))
+            f = objective(x - steps * h)
+            last[:] = x.copy(), f[0], (f[1:k + 1] - f[k + 1:]) / (2.0 * h)
+        return last
 
-    return optimize.minimize(value_and_grad, x0, method="BFGS", jac=True,
-                             options=dict(maxiter=_MAXITER, gtol=_GTOL))
+    value, grad = (lambda x: batch(x)[1]), (lambda x: batch(x)[2])
+    x = np.array(x0, dtype=float)
+    _, fx, g = batch(x)
+    hess_inv = eye = np.eye(k, dtype=int)
+    fx_before = fx + np.linalg.norm(g) / 2  # a first step of length about 1
+    nit, status, gnorm = 0, 0, np.amax(np.abs(g))
+    while gnorm > _GTOL and nit < _MAXITER:
+        p = -np.dot(hess_inv, g)
+        try:
+            step, _, _, fx, fx_before, g_new = _line_search_wolfe12(
+                value, grad, x, p, g, fx, fx_before, amin=1e-100, amax=1e100, c1=1e-4, c2=0.9)
+        except _LineSearchError:
+            status = 2
+            break
+        s = step * p
+        x = x + s
+        g_new = grad(x) if g_new is None else g_new
+        y, g = g_new - g, g_new
+        nit, gnorm = nit + 1, np.amax(np.abs(g))
+        if gnorm <= _GTOL or step * np.sum(p * p) ** 0.5 <= 0.0:  # scipy's xrtol = 0 test
+            break
+        if not np.isfinite(fx):
+            status = 2
+            break
+        rho_inv = np.dot(y, s)
+        rho = 1000.0 if rho_inv == 0.0 else 1.0 / rho_inv
+        hess_inv = (np.dot(eye - s[:, None] * y[None, :] * rho,
+                           np.dot(hess_inv, eye - y[:, None] * s[None, :] * rho))
+                    + rho * s[:, None] * s[None, :])
+    if status != 2:
+        status = 1 if nit >= _MAXITER else 3 if np.isnan([gnorm, fx, *x]).any() else 0
+    return optimize.OptimizeResult(x=x, fun=fx, nit=nit, status=status, success=status == 0)
 
 
 @dataclass
 class _SearchLog:
-    """Iterations, objective rows, (name, iterations, value) stages and
-    convergence of a fit's searches; ``converged`` is the latest one's."""
+    """The :class:`FitResult` fields of a fit's searches: iterations, objective
+    rows, (name, iterations, value) stages, and the latest search's
+    convergence and stop reason."""
 
     iterations: int = 0
     evaluations: int = 0
-    stages: list = field(default_factory=list)
+    optimizer_trace: list = field(default_factory=list)
     converged: bool = True
-
-    def fields(self) -> dict:
-        return dict(iterations=self.iterations, evaluations=self.evaluations,
-                    optimizer_trace=self.stages, converged=self.converged)
+    stop_reason: str | None = None
 
     def minimize(self, objective, x0):
         """One quasi-Newton search on central-difference gradients.
@@ -435,8 +479,10 @@ class _SearchLog:
 
         res = _bfgs(counted, x0)
         self.iterations += res.nit
-        self.stages.append(("bfgs", int(res.nit), float(res.fun)))
+        self.optimizer_trace.append(("bfgs", int(res.nit), float(res.fun)))
         self.converged = bool(res.success or res.status == 2)
+        self.stop_reason = (("gtol", "maxiter", "line-search", "non-finite")[res.status]
+                            if np.isfinite(res.fun) else "non-finite")  # by scipy's status
         return res
 
 
@@ -623,20 +669,21 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
     nu = spec.fixed.get("nu")
     coeffs = resolve_penalty(spec) if method == "MPLE" else None
 
-    def result(a: float, nfev: int, diverged: bool = False) -> FitResult:
+    def result(a: float, nfev: int, stop_reason: str, diverged: bool = False) -> FitResult:
         est = DirectParams.scalar(xi, omega, a, nu)
         ll = loglik(est, data, spec)
         return FitResult(method=method, estimates=est, loglik_at_opt=ll,
                          penalized_loglik_at_opt=None if coeffs is None
                          else ll - q_value(coeffs, a * a),
-                         diverged=diverged, iterations=nfev, evaluations=nfev, penalty=coeffs)
+                         diverged=diverged, iterations=nfev, evaluations=nfev, penalty=coeffs,
+                         stop_reason=stop_reason)
 
     z = (data.column(0) - xi) / omega
     if method == "MLE" and (np.all(z > 0) or np.all(z < 0)):
         # a one-sign sample maximizes the shape-only likelihood at infinity;
         # the sign test is exact where a search could stall on the
         # float-flat plateau short of the threshold
-        return result(math.copysign(ends[-1], z[0]), 0, diverged=True)
+        return result(math.copysign(ends[-1], z[0]), 0, "one-sign", diverged=True)
     score = _ShapeScore(z, None if nu is None else float(nu))
     if method == "MLE":
         h = score
@@ -654,21 +701,21 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
             return s + m, ds + dm
     side = float(np.sign(score.w.sum()))
     if side == 0.0:
-        return result(0.0, 0)
+        return result(0.0, 0, "zero-score")
     lo, nfev = 0.0, 0
     for end in ends:
         hi = side * end
         h_hi = h(hi)[0]
         nfev += 1
         if h_hi == 0.0:
-            return result(hi, nfev)
+            return result(hi, nfev, "root")
         if h_hi < 0.0 if side > 0.0 else h_hi > 0.0:
             root, n_newton = _safeguarded_newton(h, *sorted((lo, hi)),
                                                  float(_shape_moment_alpha(z)))
-            return result(root, nfev + n_newton)
+            return result(root, nfev + n_newton, "root")
         lo = hi
     if method == "MLE":
-        return result(lo, nfev, diverged=True)
+        return result(lo, nfev, "no-sign-change", diverged=True)
     raise RootBracketError(f"{'penalized' if method == 'MPLE' else 'modified'} score never "
                            "changed sign", *sorted((0.0, lo)))
 
@@ -727,7 +774,7 @@ def _fit_bfgs(data: Dataset, spec: ModelSpec, fmap: _FreeMap, penalty: Callable 
     else:
         fields = dict(method="MPLE", loglik_at_opt=loglik(params, data, spec),
                       penalized_loglik_at_opt=ll, penalty=resolve_penalty(spec, params.nu))
-    return FitResult(estimates=params, **fields, **log.fields(),
+    return FitResult(estimates=params, **fields, **vars(log),
                      nu_at_bound=_nu_at_bound(objective, fmap, params))
 
 

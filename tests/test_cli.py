@@ -99,8 +99,9 @@ class TestFitCommand:
         assert len(fits["mle"]["optimizer_trace"]) >= 2
         for name in ("mle", "mple"):
             fit = fits[name]
+            assert fit["stop_reason"] in ("gtol", "line-search")
             lines = [f"{name}: {fit['iterations']} iterations, {fit['evaluations']} "
-                     "log-likelihood evaluations"]
+                     f"log-likelihood evaluations, stopped on {fit['stop_reason']}"]
             lines += [f"  {name} stage {stage}: {nit} iterations, objective {value:.10g}"
                       for stage, nit, value in fit["optimizer_trace"]]
             assert "\n".join(lines) + "\n" in err

@@ -691,6 +691,29 @@ class TestOptimizerTrace:
         assert shape_only.to_json_dict()["optimizer_trace"] is None
 
 
+class TestStopReason:
+    def test_shape_only_fits_say_how_the_bracket_search_ended(self):
+        data = sn_sample(2.0, 60, seed=seeded(14, 1))
+        for fit in (fit_mle(data, ONE_PARAM), fit_mple(data, ONE_PARAM),
+                    fit_sf_one_param(data, ONE_PARAM)):
+            assert fit.stop_reason == "root"
+        one_sign = fit_mle(all_positive_sample(5.0, 50, 2), ONE_PARAM)
+        assert one_sign.diverged and one_sign.stop_reason == "one-sign"
+        symmetric = Dataset(np.array([-2.0, -1.0, 1.0, 2.0]))  # score exactly 0 at alpha = 0
+        assert fit_mple(symmetric, ONE_PARAM).stop_reason == "zero-score"
+        # the score is still positive at the threshold 1
+        short = fit_mle(Dataset(np.array([-0.01, 1.0, 2.0, 3.0])), ONE_PARAM,
+                        divergence_threshold=1.0)
+        assert short.diverged and short.stop_reason == "no-sign-change"
+
+    def test_reason_is_in_the_json_report(self):
+        data = sn_sample(3.0, 100, seed=seeded(16, 0))
+        mle, mple = fit_mle(data, THREE_PARAM), fit_mple(data, THREE_PARAM)
+        assert mle.to_json_dict()["stop_reason"] == mle.stop_reason == "line-search"
+        from penskew.wbar import fit_wbar
+        assert fit_wbar(data, THREE_PARAM, mle, mple).to_json_dict()["stop_reason"] is None
+
+
 class TestOneSearch:
     """Each BFGS-path fit is one search, and that search's status is the fit's."""
 
@@ -769,6 +792,8 @@ def point_objective(data, spec, fmap, penalty):
         if spec.dimension == 1:
             omega = math.sqrt(omega_mat[0, 0])
             if not (1e-6 < omega < 1e6) or abs(alpha[0]) > 1e7:
+                return _BIG
+            if not np.all(np.isfinite((y - xi[0]) / omega)):
                 return _BIG
             if spec.family == "sn":
                 ll = float(_sn1_loglik(y, xi[0], omega, alpha[0]))
@@ -905,6 +930,11 @@ def invalid_rows(fmap, x):
         # to a singular matrix, so only this row of the stack fails the factorization
         out[CHOLESKY_FAILS] = x.copy()
         out[CHOLESKY_FAILS][k:k + 3] = (0.0, 1e5, -30.0)
+    if fmap.free_xi and fmap.free_scale and fmap.d == 1:
+        # omega in range, but (y - xi) / omega overflows: the skew-t CDF
+        # argument would be -inf * 0 = NaN
+        out["z not finite"] = x.copy()
+        out["z not finite"][[0, 1]] = (1e308, math.log(1e-5))
     if fmap.free_alpha and fmap.d == 1:
         out["|alpha| above 1e7"] = x.copy()
         out["|alpha| above 1e7"][fmap.direct_names.index("alpha")] = -2e7
@@ -999,6 +1029,52 @@ def test_one_pass_bfgs_reproduces_the_per_point_fit(name, fit, monkeypatch):
     if name == "3p_divergent" and fit is fit_mle:
         assert batched.diverged and batched.optimizer_trace[0][1] == 65
         assert len(batched.optimizer_trace) >= 2  # the pinned re-fit ran
+
+
+ST4, D2 = ORACLE_FITS["st_pin"][0], ORACLE_FITS["d2"][0]
+# (truth, spec, n, seed, penalized, maxiter, the exit's scipy status, stop reason);
+# the line-search exits are a fit_mix skew-t MPLE and a d = 2 MPLE
+BFGS_EXITS = {
+    "gtol": (TRUTH5, THREE_PARAM, 50, seeded(20260809, 50, 0), False, 300, 0, "gtol"),
+    "maxiter": (TRUTH5, THREE_PARAM, 50, seeded(20260809, 50, 0), False, 2, 1, "maxiter"),
+    "st_pin_line_search": (ST4, ModelSpec(family="st", fixed={"nu": 4.0}), 200,
+                           seeded(20260811, 0, 4), True, 300, 2, "line-search"),
+    "d2_line_search": (D2, ModelSpec(dimension=2), 200, seeded(20260811, 2, 17), True, 300,
+                       2, "line-search"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BFGS_EXITS))
+def test_bfgs_loop_reproduces_scipy_minimize(name, monkeypatch):
+    """Each exit of the BFGS loop against scipy's minimize on the same batches:
+    the same iterate, value, iteration count and status, and the same stacks
+    handed to the objective in the same order."""
+    truth, spec, n, seed, penalized, maxiter, status, reason = BFGS_EXITS[name]
+    monkeypatch.setattr(estimators, "_MAXITER", maxiter)
+    data = sample(truth, n, seed)
+    fmap = _FreeMap(spec)
+    objective = _neg_loglik_factory(data, spec, fmap, model_penalty(spec) if penalized else None)
+    x0 = fmap.pack(estimators._mom_start(data, spec, fmap))
+    k = len(x0)
+    stacks = {"loop": [], "minimize": []}
+
+    def recorded(key):
+        return lambda X: stacks[key].append(X) or objective(X)
+
+    def value_and_grad(x):  # the batch: x, x + h e_i, x - h e_i (x - 0.0 keeps a -0.0)
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        f = recorded("minimize")(np.vstack([x, x - np.diag(-h), x - np.diag(h)]))
+        return f[0], (f[1:k + 1] - f[k + 1:]) / (2.0 * h)
+
+    res = estimators._bfgs(recorded("loop"), x0)
+    ref = optimize.minimize(value_and_grad, x0, method="BFGS", jac=True,
+                            options=dict(maxiter=maxiter, gtol=1e-6))
+    assert res.status == ref.status == status
+    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun and res.nit == ref.nit
+    assert len(stacks["loop"]) == len(stacks["minimize"])
+    assert all(np.array_equal(a, b) for a, b in zip(stacks["loop"], stacks["minimize"]))
+    fit = (fit_mple if penalized else fit_mle)(data, spec)
+    assert (fit.stop_reason, fit.converged) == (reason, status != 1)
 
 
 HESSIAN_CLASSES = {
