@@ -398,13 +398,15 @@ def _factors(omega_mat: np.ndarray) -> bool:
     return True
 
 
-def _bfgs(objective, x0) -> optimize.OptimizeResult:
+def _bfgs(objective, x0, stop=None, gtol=_GTOL) -> optimize.OptimizeResult:
     """BFGS on central differences, each value and gradient from one batch.
 
     The batch stacks x and its 2k neighbours x +- h e_i with
     h = 1e-6 max(1, |x_i|).  The loop is scipy's ``_minimize_bfgs`` at
-    gtol = _GTOL and maxiter = _MAXITER, with the iterates, batches and
+    ``gtol`` and maxiter = _MAXITER, with the iterates, batches and
     status of ``minimize(method="BFGS", jac=True)`` but not its wrappers.
+    A search also ends, with status 4, at the first accepted iterate x
+    for which ``stop(x)`` is true.
     """
     k = len(x0)
     # the rows x, x + h_i e_i and x - h_i e_i are x - steps * h; the
@@ -427,7 +429,7 @@ def _bfgs(objective, x0) -> optimize.OptimizeResult:
     hess_inv = eye = np.eye(k, dtype=int)
     fx_before = fx + np.linalg.norm(g) / 2  # a first step of length about 1
     nit, status, gnorm = 0, 0, np.amax(np.abs(g))
-    while gnorm > _GTOL and nit < _MAXITER:
+    while gnorm > gtol and nit < _MAXITER:
         p = -np.dot(hess_inv, g)
         try:
             step, _, _, fx, fx_before, g_new = _line_search_wolfe12(
@@ -440,7 +442,10 @@ def _bfgs(objective, x0) -> optimize.OptimizeResult:
         g_new = grad(x) if g_new is None else g_new
         y, g = g_new - g, g_new
         nit, gnorm = nit + 1, np.amax(np.abs(g))
-        if gnorm <= _GTOL or step * np.sum(p * p) ** 0.5 <= 0.0:  # scipy's xrtol = 0 test
+        if stop is not None and stop(x):
+            status = 4
+            break
+        if gnorm <= gtol or step * np.sum(p * p) ** 0.5 <= 0.0:  # scipy's xrtol = 0 test
             break
         if not np.isfinite(fx):
             status = 2
@@ -450,7 +455,7 @@ def _bfgs(objective, x0) -> optimize.OptimizeResult:
         hess_inv = (np.dot(eye - s[:, None] * y[None, :] * rho,
                            np.dot(hess_inv, eye - y[:, None] * s[None, :] * rho))
                     + rho * s[:, None] * s[None, :])
-    if status != 2:
+    if status not in (2, 4):
         status = 1 if nit >= _MAXITER else 3 if np.isnan([gnorm, fx, *x]).any() else 0
     return optimize.OptimizeResult(x=x, fun=fx, nit=nit, status=status, success=status == 0)
 
@@ -467,35 +472,45 @@ class _SearchLog:
     converged: bool = True
     stop_reason: str | None = None
 
-    def minimize(self, objective, x0):
-        """One quasi-Newton search on central-difference gradients.
+    def minimize(self, objective, x0, stop=None, gtol=_GTOL):
+        """One quasi-Newton search on central-difference gradients (:func:`_bfgs`).
 
-        It converged when it succeeded or stopped on status 2, "precision
-        loss", which is common and benign at flat optima.
+        It converged when it succeeded, stopped on status 2, "precision
+        loss", which is common and benign at flat optima, or stopped
+        where ``stop`` held, status 4.
         """
         def counted(X):
             self.evaluations += len(X)
             return objective(X)
 
-        res = _bfgs(counted, x0)
+        res = _bfgs(counted, x0, stop, gtol)
         self.iterations += res.nit
         self.optimizer_trace.append(("bfgs", int(res.nit), float(res.fun)))
-        self.converged = bool(res.success or res.status == 2)
-        self.stop_reason = (("gtol", "maxiter", "line-search", "non-finite")[res.status]
-                            if np.isfinite(res.fun) else "non-finite")  # by scipy's status
+        self.converged = bool(res.success or res.status in (2, 4))
+        reasons = ("gtol", "maxiter", "line-search", "non-finite", "threshold")  # by status
+        self.stop_reason = reasons[res.status] if np.isfinite(res.fun) else "non-finite"
         return res
 
 
-def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams, log):
+# a clamped MLE's re-fit starts where the search crossed the threshold, not
+# near a converged point; a gradient tolerance below _GTOL brings it to the
+# estimate that a search run on to convergence before the clamp gave
+_REFIT_GTOL = 1e-7
+
+
+def _fit_alpha_pinned(data: Dataset, spec: ModelSpec, alpha, start: DirectParams, log,
+                      gtol=_GTOL):
     """Plain-likelihood maximum over the free parameters of ``spec`` other than alpha.
 
     Alpha is pinned at ``alpha`` and the search starts from ``start``
-    (its alpha is ignored); it adds to ``log``, which records whether it
-    converged.  Returns the maximizer and the maximum.
+    (its alpha is ignored) and runs to gradient tolerance ``gtol``; it
+    adds to ``log``, which records whether it converged.  Returns the
+    maximizer and the maximum.
     """
     pinned = replace(spec, fixed={**spec.fixed, "alpha": alpha})
     fmap = _FreeMap(pinned)
-    res = log.minimize(_neg_loglik_factory(data, pinned, fmap, None), fmap.pack(start))
+    res = log.minimize(_neg_loglik_factory(data, pinned, fmap, None), fmap.pack(start),
+                       gtol=gtol)
     return fmap.unpack(res.x), -float(res.fun)
 
 
@@ -736,10 +751,12 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     """Maximum likelihood fit with divergence detection.
 
     A fit whose largest |alpha| component exceeds the keyword-only
-    ``divergence_threshold`` at convergence is flagged and reported
-    clamped at the threshold (with the other free parameters
-    re-maximized there, and ``converged`` that re-fit's), never at
-    infinity.
+    ``divergence_threshold`` is flagged and reported clamped at the
+    threshold, never at infinity.  The quasi-Newton search stops at the
+    first iterate past the threshold (``stop_reason`` "threshold");
+    alpha is scaled back to it along that iterate's direction, and any
+    other free parameters are re-maximized there to a gradient tolerance
+    of 1e-7.  That re-fit then sets ``converged`` and ``stop_reason``.
     """
     thr = _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
@@ -752,15 +769,23 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
 def _fit_bfgs(data: Dataset, spec: ModelSpec, fmap: _FreeMap, penalty: Callable | None,
               thr: float = math.inf) -> FitResult:
     """The MLE (``penalty`` None) or MPLE: one quasi-Newton search from the moment start,
-    then :func:`fit_mle`'s clamp at ``thr``, before the check for a finite optimum."""
+    then :func:`fit_mle`'s clamp at ``thr``, before the check for a finite optimum.
+
+    The MLE's search stops at its first iterate whose largest |alpha_j|
+    exceeds ``thr`` (stop reason "threshold"); the clamp then re-fits the
+    other free parameters from there with alpha pinned.
+    """
     objective = _neg_loglik_factory(data, spec, fmap, penalty)
     log = _SearchLog()
-    res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)))
+    stop = None
+    if penalty is None and fmap.free_alpha:
+        stop = lambda x: np.max(np.abs(x[fmap._alpha])) > thr
+    res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)), stop)
     params, ll, diverged = fmap.unpack(res.x), -float(res.fun), False
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
         clamped = params.alpha * (thr / np.max(np.abs(params.alpha)))
         if fmap.free_xi or fmap.free_scale or fmap.free_nu:
-            params, ll = _fit_alpha_pinned(data, spec, clamped, params, log)
+            params, ll = _fit_alpha_pinned(data, spec, clamped, params, log, _REFIT_GTOL)
         else:
             params = replace(params, alpha=clamped)
             ll = -float(objective(fmap.pack(params)[None])[0])
@@ -819,11 +844,12 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
     """Deviance profile D(alpha) = 2 {max-over-grid l*(.) - l*(alpha)}.
 
     Each grid point maximizes over the nuisance (xi, omega) with alpha
-    pinned, by the same quasi-Newton search that re-fits a clamped
-    divergent MLE, warm-started from its predecessor;
-    a bounded Brent search between the neighbours of the best grid point
-    pins the normalizing maximum.  Nonconvergent inner fits are flagged
-    per point rather than aborting the sweep.
+    pinned, by the quasi-Newton search that also re-fits a clamped
+    divergent MLE (here to the default gradient tolerance, 1e-6),
+    warm-started from its predecessor in grid order; a bounded Brent
+    search between the grid values next below and above the best grid
+    point pins the normalizing maximum.  Nonconvergent inner fits are
+    flagged per point rather than aborting the sweep.
     """
     if spec.dimension != 1:
         raise ValueError("profile deviance is implemented for d = 1")
@@ -844,10 +870,12 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
         values.append(val)
         oks.append(log.converged)
         starts.append(start)
-    # refine the maximum locally so D is normalized by the true profile peak
+    # refine the maximum locally so D is normalized by the true profile peak;
+    # the neighbours are by value, so the grid may come in any order
     i_best = int(np.argmax(values))
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, len(grid) - 1)]
+    a_best = grid[i_best]
+    lo = max((a for a in grid if a < a_best), default=a_best)
+    hi = min((a for a in grid if a > a_best), default=a_best)
     l_max = values[i_best]
     if hi > lo:
         warm = starts[i_best]

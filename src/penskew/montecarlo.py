@@ -253,7 +253,7 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
     data = sample(config.true_params, n,
                   np.random.SeedSequence(config.base_seed, spawn_key=(n, rep)))
     need = _needed_fits(config.estimators)
-    out = {"rep": rep, "diverged": False, "errors": {}}
+    out = {"rep": rep, "diverged": False, "errors": {}, "stop_reasons": {}}
     fits = {}
     # the lambdas look the fit functions up in this module at call time, so
     # wrappers set on the module (e.g. a tracer's) see every call
@@ -273,6 +273,7 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
         try:
             fits[name] = call()
             out[name] = fmap.direct_pack(fits[name].estimates)
+            out["stop_reasons"][name] = fits[name].stop_reason
         except Exception as exc:  # fit failures are counted, not fatal
             out["errors"][name] = repr(exc)
     if "MLE" in fits:
@@ -327,14 +328,16 @@ def run_study(config: StudyConfig) -> StudySummary:
     """Run the configured study and aggregate per-estimator summaries.
 
     Deterministic given the config (including base_seed); replicate
-    failures are logged and counted separately from MLE divergence.
+    failures are logged and counted separately from MLE divergence.  The
+    metadata's ``stop_reasons`` counts, per "estimator@n=n", the
+    ``FitResult.stop_reason`` of the estimates that the summary uses.
     """
     spec = config.model_spec()
     fmap = _FreeMap(spec)
     names = fmap.direct_names
     truth = fmap.direct_pack(config.true_params)
     rows, est_store, div_store = [], {e: {} for e in config.estimators}, {}
-    failure_counts, failure_kinds = {}, {}
+    failure_counts, failure_kinds, stop_reasons = {}, {}, {}
     for n, results in _replicates_by_n(config):
         diverged = np.array([r["diverged"] for r in results], dtype=bool)
         div_store[n] = diverged.tolist()
@@ -350,6 +353,11 @@ def run_study(config: StudyConfig) -> StudySummary:
                                                   for r in results if est not in r))
                 log.warning("study %s: %d %s fit failures at n=%d: %s",
                             config.label or "<unnamed>", n_fail, est, n, failure_kinds[key])
+            # why each search behind the estimates stopped (WBAR, a closed form, reports none)
+            reasons = Counter(r["stop_reasons"][est] for r in ok
+                              if r["stop_reasons"][est] is not None)
+            if reasons:
+                stop_reasons[f"{est}@n={n}"] = dict(sorted(reasons.items()))
             arr = np.array([r[est] for r in ok]).reshape(len(ok), len(names))
             mask_fin = np.array([not r["diverged"] for r in ok], dtype=bool)
             est_store[est][n] = arr.tolist()
@@ -378,6 +386,7 @@ def run_study(config: StudyConfig) -> StudySummary:
         "exclusion": config.exclusion,
         "fit_failures": failure_counts,
         "failure_kinds": failure_kinds,
+        "stop_reasons": stop_reasons,
         "estimates": est_store,
         "diverged": div_store,
     }

@@ -706,6 +706,15 @@ class TestStopReason:
                         divergence_threshold=1.0)
         assert short.diverged and short.stop_reason == "no-sign-change"
 
+    def test_a_search_stopped_at_the_threshold_says_so(self):
+        # d = 2 with xi and Omega pinned: no re-fit follows the clamp, so the
+        # stopped search is the one behind the estimate
+        spec = ModelSpec(dimension=2, fixed={"xi": [0.0, 0.0], "omega_mat": np.eye(2)})
+        data = Dataset(np.abs(np.random.default_rng(5).normal(size=(30, 2))))
+        fit = fit_mle(data, spec, divergence_threshold=5.0)
+        assert fit.diverged and fit.converged and fit.stop_reason == "threshold"
+        assert len(fit.optimizer_trace) == 1 and np.max(np.abs(fit.estimates.alpha)) == 5.0
+
     def test_reason_is_in_the_json_report(self):
         data = sn_sample(3.0, 100, seed=seeded(16, 0))
         mle, mple = fit_mle(data, THREE_PARAM), fit_mple(data, THREE_PARAM)
@@ -735,16 +744,58 @@ class TestOneSearch:
         # cap the second search, the re-fit at the clamped shape, at 2 iterations
         searches = []
 
-        def cap_the_refit(objective, x0, bfgs=estimators._bfgs):
+        def cap_the_refit(objective, x0, *args, bfgs=estimators._bfgs):
             searches.append(x0)
             if len(searches) == 2:
                 monkeypatch.setattr(estimators, "_MAXITER", 2)
-            return bfgs(objective, x0)
+            return bfgs(objective, x0, *args)
 
         monkeypatch.setattr(estimators, "_bfgs", cap_the_refit)
         fit = fit_mle(all_positive_sample(5.0, 50, 2), THREE_PARAM)
         assert fit.diverged and not fit.converged
-        assert [(name, nit) for name, nit, _ in fit.optimizer_trace] == [("bfgs", 72), ("bfgs", 2)]
+        assert [(name, nit) for name, nit, _ in fit.optimizer_trace] == [("bfgs", 16), ("bfgs", 2)]
+
+
+# (spec, n, rep) -> the clamped MLE (xi, omega, alpha) of replicate rep of
+# SeedSequence(20260809, spawn_key=(n, rep)) from alpha = 5 when its first search
+# ran on to convergence (65 iterations each) before the clamp and re-fit
+RUN_TO_CONVERGENCE = {
+    (50, 1): [-0.136849607808156, 1.0721268359491063, 99.99999999999999],
+    (50, 88): [-3.08963317052293e-05, 1.0347677670167412, 100.00000000000001],
+}
+
+
+class TestThresholdStop:
+    """The MLE's search stops at its first iterate past the divergence threshold."""
+
+    @staticmethod
+    def divergent(n, rep):
+        return sample(TRUTH5, n, seeded(20260809, n, rep))
+
+    def test_search_stops_at_the_first_iterate_past_the_threshold(self):
+        data = self.divergent(50, 1)
+        fmap = _FreeMap(THREE_PARAM)
+        objective = _neg_loglik_factory(data, THREE_PARAM, fmap, None)
+        x0 = fmap.pack(estimators._mom_start(data, THREE_PARAM, fmap))
+        tests = []
+
+        def stop(x):
+            tests.append(abs(x[2]) > 100.0)
+            return tests[-1]
+
+        log = estimators._SearchLog()
+        res = log.minimize(objective, x0, stop)
+        assert tests == [False] * (res.nit - 1) + [True]
+        assert (res.status, log.stop_reason, log.converged) == (4, "threshold", True)
+        # with no stop test the same search runs on toward alpha = infinity
+        assert estimators._bfgs(objective, x0).nit > 4 * res.nit
+
+    @pytest.mark.parametrize("key", sorted(RUN_TO_CONVERGENCE))
+    def test_clamped_mle_keeps_the_run_to_convergence_estimate(self, key):
+        fit = fit_mle(self.divergent(*key), THREE_PARAM)
+        assert fit.diverged and fit.converged and len(fit.optimizer_trace) == 2
+        np.testing.assert_allclose(_FreeMap(THREE_PARAM).direct_pack(fit.estimates),
+                                   RUN_TO_CONVERGENCE[key], rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -842,11 +893,39 @@ def per_point_factory(data, spec, fmap, penalty):
     return lambda X: np.array([point(x) for x in X])
 
 
-def per_point_bfgs(objective, x0):
-    """BFGS with the value and the central-difference gradient evaluated point by point."""
+class Crossed(Exception):
+    """Raised from a minimize callback at the first iterate where the stop test holds."""
+
+
+def per_point_bfgs(objective, x0, stop=None, gtol=1e-6):
+    """BFGS with the value and the central-difference gradient evaluated point by point.
+
+    With ``stop``, the search ends at the first iterate where ``stop`` holds,
+    as status 4.  A minimize callback cannot end a search on scipy 1.10, so
+    one run finds that iteration and a second runs to it as its maxiter.
+    """
     f = lambda x: objective(x[None])[0]
-    return optimize.minimize(f, x0, method="BFGS", jac=lambda x: central_grad(f, x),
-                             options=dict(maxiter=300, gtol=1e-6))
+
+    def run(maxiter, callback=None):
+        return optimize.minimize(f, x0, method="BFGS", jac=lambda x: central_grad(f, x),
+                                 callback=callback, options=dict(maxiter=maxiter, gtol=gtol))
+
+    if stop is None:
+        return run(300)
+    nit = []
+
+    def count_to_the_crossing(xk):
+        nit.append(None)
+        if stop(xk):
+            raise Crossed
+
+    try:
+        return run(300, count_to_the_crossing)
+    except Crossed:
+        res = run(len(nit))
+        assert res.nit == len(nit) and stop(res.x)
+        res.status, res.success = 4, False
+        return res
 
 
 def per_point_stderr(fit, data, spec):
@@ -994,7 +1073,7 @@ def test_skew_t_objective_is_finite_where_the_residual_square_overflows(name):
 
 TRUTH5 = DirectParams.scalar(0.0, 1.0, 5.0)
 ORACLE_FITS = {
-    # the divergent table1_3p replicate: a 65-iteration run-away, then the pinned re-fit
+    # the divergent table1_3p replicate: a search stopped past the threshold, then the re-fit
     "3p_divergent": (TRUTH5, THREE_PARAM, 50, seeded(20260809, 50, 1)),
     "3p": (TRUTH5, THREE_PARAM, 50, seeded(20260809, 50, 0)),
     "st_pin": (DirectParams.scalar(0.0, 1.0, 3.0, 4.0), ModelSpec(family="st", fixed={"nu": 4.0}),
@@ -1027,7 +1106,7 @@ def test_one_pass_bfgs_reproduces_the_per_point_fit(name, fit, monkeypatch):
     per_point = fit(data, spec)
     assert fit_fingerprint(batched) == fit_fingerprint(per_point)
     if name == "3p_divergent" and fit is fit_mle:
-        assert batched.diverged and batched.optimizer_trace[0][1] == 65
+        assert batched.diverged and batched.optimizer_trace[0][1] == 12
         assert len(batched.optimizer_trace) >= 2  # the pinned re-fit ran
 
 

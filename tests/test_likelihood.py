@@ -236,6 +236,19 @@ class TestProfileDeviance:
             assert p.profile_loglik == pytest.approx(fit_mle(data, pinned).loglik_at_opt,
                                                      rel=0, abs=1e-9)
 
+    def test_grid_order_does_not_move_the_deviances(self):
+        # the peak's Brent refinement once took its neighbours by index and
+        # skipped a descending grid: D here came out 0.0178 too low throughout
+        data = sample(DirectParams.scalar(0.0, 1.0, 3.0), 80, np.random.SeedSequence(5))
+        spec = ModelSpec(family="sn", dimension=1)
+        grid = np.linspace(0.5, 8.0, 9)
+        ascending = profile_deviance(grid, data, spec)
+        descending = profile_deviance(grid[::-1], data, spec)[::-1]
+        assert [p.alpha for p in descending] == grid.tolist()
+        assert min(p.deviance for p in ascending) == pytest.approx(0.0178, abs=1e-4)
+        assert [p.deviance for p in descending] == pytest.approx(
+            [p.deviance for p in ascending], rel=0, abs=1e-9)
+
     def test_rejects_pinned_nuisance(self):
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
         with pytest.raises(ValueError):

@@ -242,6 +242,14 @@ class TestFailureReporting:
         assert np.isnan(s.value("WBAR", "alpha", 30, "mean_bias"))
         assert s.to_json_dict()["metadata"]["failure_kinds"] == s.metadata["failure_kinds"]
 
+    def test_stop_reasons_are_counted_per_estimator_and_n(self):
+        s = run_study(three_param_config(sample_sizes=(50,), replicates=3, base_seed=20260809))
+        assert s.diverged_mask(50).tolist() == [False, True, False]
+        reasons = s.metadata["stop_reasons"]
+        # the clamped MLE reports its re-fit's reason; WBAR, a closed form, none
+        assert reasons == {"MLE@n=50": {"gtol": 3}, "MPLE@n=50": {"gtol": 3}}
+        assert s.to_json_dict()["metadata"]["stop_reasons"] == reasons
+
     def test_clean_study_reports_no_failures(self):
         s = run_study(three_param_config(replicates=3))
         assert s.metadata["fit_failures"] == {} == s.metadata["failure_kinds"]
