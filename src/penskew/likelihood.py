@@ -4,19 +4,21 @@ penalized log-likelihoods.
 Evaluation only; the fits that maximize these live in ``estimators``.
 The model alone fixes the penalty coefficients (:func:`resolve_penalty`).
 All code consumes log densities only; tail-heavy samples keep every
-term finite.  A fast scalar path covers d = 1, which is where fits and
-simulation studies spend their time.
+term finite.  One stacked log-likelihood (:func:`_stack_loglik`) serves
+:func:`loglik`, the fits' objective and the standard errors: for d = 1
+it runs the kernels below on (m, 1) columns, for d > 1 the stacked
+multivariate log densities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
-from .distributions import Dataset, DirectParams, alpha_star, sn_logpdf, st_logpdf
+from .distributions import Dataset, DirectParams, _stack_log_terms, alpha_star, sn_logpdf
 from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
 from .specfun import _t_logpdf, t_logcdf
 
@@ -136,19 +138,38 @@ def _st1_loglik(y: np.ndarray, xi, omega, alpha, nu):
                   + t_logcdf(arg, nu + 1.0), axis=-1)
 
 
+def _nu_arg(nu: Sequence):
+    """The t kernels' nu for stack rows of degrees of freedom ``nu``: their
+    shared value (None for the skew-normal), else an (m, 1) column."""
+    shared = set(nu)
+    return shared.pop() if len(shared) == 1 else np.array(nu, dtype=float)[:, None]
+
+
+def _stack_loglik(data: Dataset, xi, omega_mat, alpha, nu) -> np.ndarray:
+    """Log-likelihood of ``data`` at each row of a stack (xi, omega_mat,
+    alpha, nu) as ``estimators._FreeMap.stack`` decodes it.
+
+    One pass, with nu a float or, when the rows' nu differ, a column: the
+    d = 1 kernels on (m, 1) columns, or the stacked d > 1 terms summed as
+    the log densities sum them.  Each row's value is bit-equal to that of
+    a pass of its own.  Raises ``LinAlgError`` when an Omega has no Cholesky
+    factor and ``ValueError`` when a skew-t CDF argument is not finite.
+    """
+    nu = _nu_arg(nu)
+    if data.d == 1:
+        cols = (data.column(0), xi, np.sqrt(omega_mat[:, :, 0]), alpha)
+        return _sn1_loglik(*cols) if nu is None else _st1_loglik(*cols, nu)
+    return np.sum(_stack_log_terms(data.rows, xi, omega_mat, alpha, nu), axis=-1)
+
+
 def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
-    """Sum of log densities of ``data`` under ``params``."""
+    """Sum of log densities of ``data`` under ``params``: :func:`_stack_loglik`
+    on a one-row stack."""
     spec.validate_params(params)
     if data.d != spec.dimension:
         raise ValueError(f"data dimension {data.d} != model dimension {spec.dimension}")
-    if spec.dimension == 1:
-        y = data.column(0)
-        xi, omega, alpha = float(params.xi[0]), params.omega, float(params.alpha[0])
-        if spec.family == "sn":
-            return float(_sn1_loglik(y, xi, omega, alpha))
-        return float(_st1_loglik(y, xi, omega, alpha, params.nu))
-    pdf = sn_logpdf if spec.family == "sn" else st_logpdf
-    return float(np.sum(pdf(data.rows, params)))
+    return float(_stack_loglik(data, params.xi[None], params.omega_mat[None],
+                               params.alpha[None], [params.nu])[0])
 
 
 def penalized_loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:

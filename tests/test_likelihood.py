@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from penskew.distributions import Dataset, DirectParams, alpha_star, sample
+from penskew.distributions import (Dataset, DirectParams, alpha_star, sample, sn_logpdf,
+                                   st_logpdf)
 from penskew.estimators import fit_mle, profile_deviance
 from penskew.likelihood import (
     ModelSpec,
+    _sn1_loglik,
     _st1_loglik,
     loglik,
     penalized_loglik,
@@ -44,12 +46,25 @@ class TestLoglik:
         b = loglik(DirectParams.scalar(0.4 + c, 1.1, 2.0), Dataset(y + c), spec)
         assert a == pytest.approx(b, rel=1e-13)
 
-    def test_matches_logpdf_sum_multivariate(self, rng):
-        p = DirectParams(xi=[0.5, -1.0], omega_mat=[[2.0, 0.3], [0.3, 1.0]], alpha=[1.0, -0.5])
-        data = sample(p, 50, 3)
-        spec = ModelSpec(family="sn", dimension=2)
-        from penskew.distributions import sn_logpdf
-        assert loglik(p, data, spec) == pytest.approx(float(np.sum(sn_logpdf(data.rows, p))), rel=1e-13)
+    def test_matches_logpdf_sum_multivariate(self):
+        for nu, logpdf in ((None, sn_logpdf), (5.0, st_logpdf)):
+            p = DirectParams(xi=[0.5, -1.0], omega_mat=[[2.0, 0.3], [0.3, 1.0]],
+                             alpha=[1.0, -0.5], nu=nu)
+            data = sample(p, 50, 3)
+            spec = ModelSpec(family="sn" if nu is None else "st", dimension=2)
+            assert loglik(p, data, spec) == float(np.sum(logpdf(data.rows, p)))
+
+    @pytest.mark.parametrize("nu", [None, 4.5], ids=["sn", "st"])
+    def test_d1_equals_the_scalar_kernel_call(self, nu):
+        # the one-row stack keeps the bits of the scalar call on floats
+        spec = ModelSpec(family="sn" if nu is None else "st")
+        for n, seed in ((1, 0), (7, 1), (400, 2)):
+            p = DirectParams.scalar(0.3, 1.4, -2.0, nu)
+            y = sample(p, n, seed).column(0)
+            xi, omega, alpha = float(p.xi[0]), p.omega, float(p.alpha[0])
+            expected = (_sn1_loglik(y, xi, omega, alpha) if nu is None
+                        else _st1_loglik(y, xi, omega, alpha, nu))
+            assert loglik(p, Dataset(y), spec) == float(expected)
 
     def test_validates_pinned_components(self):
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
