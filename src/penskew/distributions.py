@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg, special
 from scipy.linalg.lapack import dtrtrs
 
-from .specfun import t_logcdf, zeta0
+from .specfun import _t_logpdf, t_logcdf, zeta0
 
 __all__ = [
     "DirectParams",
@@ -244,8 +244,20 @@ def _mv_terms(rows, xi, omega_mat, alpha) -> tuple:
 
 def _stack_log_terms(rows, xi, omega_mat, alpha, nu):
     """(m, n) log densities of the (n, d) sample ``rows`` under each row of a stack
-    (xi, omega_mat, alpha) of :func:`_mv_terms`; ``nu`` is None (skew-normal), a
-    float or an (m, 1) column."""
+    (xi, omega_mat, alpha); ``nu`` is None (skew-normal), a float or an (m, 1) column.
+    The one kernel per d that the densities return and the log-likelihood sums: the
+    scalar formula on (m, 1) columns for d = 1, the terms of :func:`_mv_terms` for d > 1."""
+    if rows.shape[1] == 1:
+        omega = np.sqrt(omega_mat[:, :, 0])
+        z = (rows[:, 0] - xi) / omega
+        if nu is None:
+            return (-0.5 * z * z - 0.5 * _LOG2PI - np.log(omega)
+                    + _LOG2 + special.log_ndtr(alpha * z))
+        z2 = z * z
+        arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z2))
+        if np.isinf(z2).any():  # the limit alpha sign(z) sqrt(nu + 1), where z^2 overflows
+            arg = np.where(np.isinf(z2), alpha * np.sign(z) * np.sqrt(nu + 1.0), arg)
+        return _LOG2 - np.log(omega) + _t_logpdf(z, nu) + t_logcdf(arg, nu + 1.0)
     qx, logdet, u = _mv_terms(rows, xi, omega_mat, alpha)
     d, logdet = rows.shape[1], logdet[:, None]
     if nu is None:
@@ -285,7 +297,7 @@ def sn_logpdf(x, params: DirectParams):
 
     log of 2 phi_d(x - xi; Omega) Phi(alpha' omega^-1 (x - xi)), evaluated
     as a one-row stack of :func:`_stack_log_terms`; the Phi factor goes
-    through the stable log-CDF.
+    through the stable log-CDF.  At d = 1 a sample's sum is ``loglik``, bit for bit.
     """
     if params.is_skew_t:
         raise ValueError("params carry nu; use st_logpdf")
@@ -298,7 +310,8 @@ def st_logpdf(x, params: DirectParams):
     log of 2 t_d(x - xi; Omega, nu) T(sqrt((d + nu)/(Q + nu)) alpha'
     omega^-1 (x - xi); nu + d) with Q the squared Mahalanobis distance.
     Converges pointwise to the skew-normal log density as nu -> inf.
-    Evaluated as a one-row stack of :func:`_stack_log_terms`.
+    Evaluated as a one-row stack of :func:`_stack_log_terms`; at d = 1 a
+    sample's sum is ``loglik``, bit for bit.
     """
     if not params.is_skew_t:
         raise ValueError("params carry no nu; use sn_logpdf")

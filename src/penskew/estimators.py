@@ -306,7 +306,7 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
 
         def rows_ok(xi, omega_mat, alpha):
             # z = (y - xi) / omega must be finite from min y to max y: where it
-            # is not, the skew-t CDF argument is NaN, which t_logcdf refuses
+            # is not, the log-likelihood is not finite
             return [1e-6 < w < 1e6 and abs(a) <= 1e7
                     and -inf < (y_lo - x) / w <= (y_hi - x) / w < inf
                     for x, w, a in zip(xi[:, 0].tolist(), np.sqrt(omega_mat[:, 0, 0]).tolist(),

@@ -5,9 +5,10 @@ Evaluation only; the fits that maximize these live in ``estimators``.
 The model alone fixes the penalty coefficients (:func:`resolve_penalty`).
 All code consumes log densities only; tail-heavy samples keep every
 term finite.  One stacked log-likelihood (:func:`_stack_loglik`) serves
-:func:`loglik`, the fits' objective and the standard errors: for d = 1
-it runs the kernels below on (m, 1) columns, for d > 1 the stacked
-multivariate log densities.
+:func:`loglik`, the fits' objective and the standard errors.  It sums
+the one log-density kernel that the densities return
+(``distributions._stack_log_terms``), so for every d :func:`loglik` is
+bit-equal to the sum of ``sn_logpdf`` or ``st_logpdf``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .distributions import Dataset, DirectParams, _stack_log_terms, alpha_star, sn_logpdf
 from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
-from .specfun import _t_logpdf, t_logcdf
 
 __all__ = [
     "ModelSpec",
@@ -29,8 +28,6 @@ __all__ = [
     "resolve_penalty",
     "score_proportionality_check",
 ]
-
-_LOG2PI = np.log(2.0 * np.pi)
 
 _FIXABLE = ("xi", "omega", "omega_mat", "alpha", "nu")
 
@@ -120,24 +117,6 @@ def resolve_penalty(spec: ModelSpec, nu: float | None = None) -> PenaltyCoeffs:
     return st_coeffs(float(nu), "approx")
 
 
-# The d = 1 kernels sum along the last axis: with scalar xi, omega,
-# alpha and nu they give one log-likelihood; with (m, 1) columns (nu a
-# float or a column), one per row, each bit-equal to its own scalar call.
-
-
-def _sn1_loglik(y: np.ndarray, xi, omega, alpha):
-    z = (y - xi) / omega
-    return np.sum(-0.5 * z * z - 0.5 * _LOG2PI - np.log(omega)
-                  + np.log(2.0) + special.log_ndtr(alpha * z), axis=-1)
-
-
-def _st1_loglik(y: np.ndarray, xi, omega, alpha, nu):
-    z = (y - xi) / omega
-    arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z * z))
-    return np.sum(np.log(2.0) - np.log(omega) + _t_logpdf(z, nu)
-                  + t_logcdf(arg, nu + 1.0), axis=-1)
-
-
 def _nu_arg(nu: Sequence):
     """The t kernels' nu for stack rows of degrees of freedom ``nu``: their
     shared value (None for the skew-normal), else an (m, 1) column."""
@@ -149,17 +128,13 @@ def _stack_loglik(data: Dataset, xi, omega_mat, alpha, nu) -> np.ndarray:
     """Log-likelihood of ``data`` at each row of a stack (xi, omega_mat,
     alpha, nu) as ``estimators._FreeMap.stack`` decodes it.
 
-    One pass, with nu a float or, when the rows' nu differ, a column: the
-    d = 1 kernels on (m, 1) columns, or the stacked d > 1 terms summed as
-    the log densities sum them.  Each row's value is bit-equal to that of
-    a pass of its own.  Raises ``LinAlgError`` when an Omega has no Cholesky
-    factor and ``ValueError`` when a skew-t CDF argument is not finite.
+    One pass of the log-density kernel, with nu a float or, when the rows'
+    nu differ, a column, summed over the sample, so that each row's value
+    is the sum of the log densities and bit-equal to that of a pass of its
+    own.  Raises ``LinAlgError`` when an Omega has no Cholesky factor and
+    ``ValueError`` when a d > 1 skew-t CDF argument is not finite.
     """
-    nu = _nu_arg(nu)
-    if data.d == 1:
-        cols = (data.column(0), xi, np.sqrt(omega_mat[:, :, 0]), alpha)
-        return _sn1_loglik(*cols) if nu is None else _st1_loglik(*cols, nu)
-    return np.sum(_stack_log_terms(data.rows, xi, omega_mat, alpha, nu), axis=-1)
+    return np.sum(_stack_log_terms(data.rows, xi, omega_mat, alpha, _nu_arg(nu)), axis=-1)
 
 
 def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:

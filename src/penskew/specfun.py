@@ -45,7 +45,11 @@ class QuadratureError(RuntimeError):
 def _as_float_array(x, name="x"):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {x!r}")
+        if arr.ndim == 0:
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        bad = np.flatnonzero(~np.isfinite(arr))  # a bounded message, not the whole array
+        raise ValueError(f"{name} must be finite, got {bad.size} non-finite of {arr.size} "
+                         f"entries, the first {float(arr.flat[bad[0]])!r}")
     return arr
 
 

@@ -20,7 +20,10 @@ from penskew.distributions import (
     sn_logpdf,
     st_logpdf,
 )
+from penskew import distributions
 from penskew.specfun import t_logcdf
+
+from conftest import sn1_log_terms, st1_log_terms
 
 HALF_NORMAL_GAMMA1 = 0.9952717464311565  # skewness of the |N(0,1)| boundary case
 
@@ -149,11 +152,15 @@ LOGPDF_CASES = {
 
 
 class TestLogpdfPerMatrix:
-    """The densities, one-row stacks of the fits' terms, against the per-matrix formulas."""
+    """The densities, one-row stacks of the fits' terms, against the scalar formulas
+    for d = 1 and the per-matrix formulas for d > 1."""
 
     @staticmethod
     def reference(rows, params):
         d, nu = params.d, params.nu
+        if d == 1:
+            cols = (rows[:, 0], params.xi[0], params.omega, params.alpha[0])
+            return sn1_log_terms(*cols) if nu is None else st1_log_terms(*cols, nu)
         v = rows - params.xi
         qx, logdet = TestMahalanobisAndLogdet.reference(v, params.omega_mat)
         u = (v / params.omega_diag) @ params.alpha
@@ -174,6 +181,19 @@ class TestLogpdfPerMatrix:
         assert np.array_equal(pdf(rows, params), self.reference(rows, params))
         point = pdf(rows[0], params)
         assert type(point) is float and point == self.reference(rows[:1], params)[0]
+
+    @pytest.mark.parametrize("nu", [None, 4.5])
+    def test_d1_makes_no_matrix_call(self, nu, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("d = 1 densities took the multivariate terms")
+
+        monkeypatch.setattr(distributions, "_mahalanobis_and_logdet", refuse)
+        monkeypatch.setattr(distributions, "_mv_terms", refuse)
+        params = dataclasses.replace(LOGPDF_CASES[1], nu=nu)
+        pdf = sn_logpdf if nu is None else st_logpdf
+        rows = sample(params, 50, 5).rows
+        assert np.array_equal(pdf(rows, params), self.reference(rows, params))
+        assert pdf(0.7, params) == self.reference(np.array([[0.7]]), params)[0]
 
 
 class TestStLogpdf:

@@ -26,11 +26,11 @@ from penskew.estimators import (
     st_m_exact,
     stderr_from_penalized_info,
 )
-from penskew.likelihood import ModelSpec, _sn1_loglik, _st1_loglik, loglik, penalized_loglik
+from penskew.likelihood import ModelSpec, loglik, penalized_loglik
 from penskew.penalty import q_prime, q_value, st_e_coeffs_exact
 from penskew.specfun import t_logcdf, zeta1, zeta1_t
 
-from conftest import sn_sample, seeded
+from conftest import sn1_log_terms, sn_sample, seeded, st1_log_terms
 
 ONE_PARAM = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
 THREE_PARAM = ModelSpec(family="sn", dimension=1)
@@ -842,9 +842,9 @@ def point_objective(data, spec, fmap, penalty):
                 return _BIG
             try:
                 if spec.family == "sn":
-                    ll = float(_sn1_loglik(y, xi[0], omega, alpha[0]))
+                    ll = float(np.sum(sn1_log_terms(y, xi[0], omega, alpha[0])))
                 else:
-                    ll = float(_st1_loglik(y, xi[0], omega, alpha[0], nu))
+                    ll = float(np.sum(st1_log_terms(y, xi[0], omega, alpha[0], nu)))
             except ValueError:  # a skew-t CDF argument that is not finite
                 return _BIG
             a2 = alpha[0] * alpha[0]
@@ -1010,14 +1010,10 @@ def invalid_rows(fmap, x):
         out[CHOLESKY_FAILS] = x.copy()
         out[CHOLESKY_FAILS][k:k + 3] = (0.0, 1e5, -30.0)
     if fmap.free_xi and fmap.free_scale and fmap.d == 1:
-        # omega in range, but (y - xi) / omega overflows: the skew-t CDF
-        # argument would be -inf * 0 = NaN
+        # omega in range, but (y - xi) / omega overflows: the log-likelihood
+        # is not finite
         out["z not finite"] = x.copy()
         out["z not finite"][[0, 1]] = (1e308, math.log(1e-5))
-        # z is finite, but alpha z overflows: the skew-t CDF argument is
-        # -inf * 0 = NaN, which only the kernel sees
-        out["alpha z overflows"] = x.copy()
-        out["alpha z overflows"][[0, 1]] = (1e305, math.log(1e-3))
     if fmap.free_xi and fmap.free_scale and fmap.d > 1:
         # Omega_11 = 1e-10 is in range, but (y_1 - xi_1) / omega_1 overflows:
         # the skew-t CDF argument is -inf * 0 = NaN
@@ -1074,11 +1070,15 @@ def test_skew_t_objective_is_finite_where_the_residual_square_overflows(name):
     truth, spec = BATCH_CLASSES[name]
     fmap = _FreeMap(spec)
     data = sample(truth, 120, seeded(17, len(name)))
-    x = fmap.pack(truth)
-    x[0] = 1e300  # xi: every (y - xi)^2 overflows
-    with np.errstate(over="ignore"):
-        value, = _neg_loglik_factory(data, spec, fmap, None)(x[None])
-        assert value == point_objective(data, spec, fmap, None)(x) < _BIG
+    X = np.vstack([fmap.pack(truth)] * 2)
+    X[0, 0] = 1e300  # xi: every (y - xi)^2 overflows
+    # z is finite, but alpha z overflows too: alpha z * 0 is NaN until the
+    # skew-t CDF argument takes its limit alpha sign(z) sqrt(nu + 1)
+    X[1, :2] = (1e305, math.log(1e-3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _neg_loglik_factory(data, spec, fmap, None)(X)
+        assert np.array_equal(values, [point_objective(data, spec, fmap, None)(x) for x in X])
+    assert np.all(values < _BIG)
 
 
 TRUTH5 = DirectParams.scalar(0.0, 1.0, 5.0)

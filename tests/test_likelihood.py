@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -7,8 +9,6 @@ from penskew.distributions import (Dataset, DirectParams, alpha_star, sample, sn
 from penskew.estimators import fit_mle, profile_deviance
 from penskew.likelihood import (
     ModelSpec,
-    _sn1_loglik,
-    _st1_loglik,
     loglik,
     penalized_loglik,
     resolve_penalty,
@@ -17,7 +17,7 @@ from penskew.likelihood import (
 from penskew.penalty import q_value, sn_coeffs, st_coeffs
 from penskew.specfun import t_logcdf, t_logpdf
 
-from conftest import sn_sample
+from conftest import sn1_log_terms, sn_sample, st1_log_terms
 
 
 def gaussian_loglik(y, mu, sigma):
@@ -47,12 +47,17 @@ class TestLoglik:
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_matches_logpdf_sum_multivariate(self):
-        for nu, logpdf in ((None, sn_logpdf), (5.0, st_logpdf)):
-            p = DirectParams(xi=[0.5, -1.0], omega_mat=[[2.0, 0.3], [0.3, 1.0]],
-                             alpha=[1.0, -0.5], nu=nu)
-            data = sample(p, 50, 3)
-            spec = ModelSpec(family="sn" if nu is None else "st", dimension=2)
-            assert loglik(p, data, spec) == float(np.sum(logpdf(data.rows, p)))
+        # one kernel per d: the log-likelihood is the densities' sum, bit for bit
+        cases = [DirectParams(xi=[0.5, -1.0], omega_mat=[[2.0, 0.3], [0.3, 1.0]],
+                              alpha=[1.0, -0.5]),
+                 DirectParams.scalar(0.3, 1.4, -2.0), DirectParams.scalar(-1.1, 0.6, 4.0)]
+        for case in cases:
+            for nu, logpdf in ((None, sn_logpdf), (5.0, st_logpdf), (0.7, st_logpdf)):
+                p = dataclasses.replace(case, nu=nu)
+                spec = ModelSpec(family="sn" if nu is None else "st", dimension=p.d)
+                for n, seed in ((1, 0), (50, 3), (333, 4)):
+                    data = sample(p, n, seed)
+                    assert loglik(p, data, spec) == float(np.sum(logpdf(data.rows, p)))
 
     @pytest.mark.parametrize("nu", [None, 4.5], ids=["sn", "st"])
     def test_d1_equals_the_scalar_kernel_call(self, nu):
@@ -62,9 +67,9 @@ class TestLoglik:
             p = DirectParams.scalar(0.3, 1.4, -2.0, nu)
             y = sample(p, n, seed).column(0)
             xi, omega, alpha = float(p.xi[0]), p.omega, float(p.alpha[0])
-            expected = (_sn1_loglik(y, xi, omega, alpha) if nu is None
-                        else _st1_loglik(y, xi, omega, alpha, nu))
-            assert loglik(p, Dataset(y), spec) == float(expected)
+            expected = (sn1_log_terms(y, xi, omega, alpha) if nu is None
+                        else st1_log_terms(y, xi, omega, alpha, nu))
+            assert loglik(p, Dataset(y), spec) == float(np.sum(expected))
 
     def test_validates_pinned_components(self):
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
@@ -101,15 +106,27 @@ class TestLoglik:
             assert np.array_equal(t_logpdf(z, nu), log_t)
             arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z * z))
             old = float(np.sum(np.log(2.0) - np.log(omega) + log_t + t_logcdf(arg, nu + 1.0)))
-            assert _st1_loglik(y, xi, omega, alpha, nu) == old
+            p = DirectParams.scalar(xi, omega, alpha, nu)
+            assert loglik(p, Dataset(y), ModelSpec(family="st")) == old
 
     def test_skew_t_one_param_fast_path(self, rng):
         y = rng.standard_t(5, size=30)
         spec = ModelSpec(family="st", dimension=1, fixed={"xi": 0.0, "omega": 1.0, "nu": 5.0})
         p = DirectParams.scalar(0.0, 1.0, 1.5, nu=5.0)
-        from penskew.distributions import st_logpdf
-        expected = float(np.sum(st_logpdf(y[:, None], p)))
-        assert loglik(p, Dataset(y), spec) == pytest.approx(expected, rel=1e-12)
+        assert loglik(p, Dataset(y), spec) == float(np.sum(st_logpdf(y[:, None], p)))
+
+    # log densities of ST(0, 1, 3, nu = 5) where z^2 overflows, by mpmath at 50 digits
+    FAR_TAIL = {1e200: -2758.5494327645894, -1e200: -2767.2741807332120,
+                1e160: -2205.9290104460185}
+
+    @pytest.mark.parametrize("y", sorted(FAR_TAIL))
+    def test_skew_t_far_tail(self, y):
+        # the CDF argument alpha z sqrt((nu + 1) / (nu + z^2)) takes its limit
+        # alpha sign(z) sqrt(nu + 1); evaluated as written it rounds to T(0)
+        p = DirectParams.scalar(0.0, 1.0, 3.0, 5.0)
+        with np.errstate(over="ignore"):
+            values = loglik(p, Dataset([y]), ModelSpec(family="st")), st_logpdf(y, p)
+        np.testing.assert_allclose(values, self.FAR_TAIL[y], rtol=1e-13, atol=0)
 
 
 class TestPenalizedLoglik:

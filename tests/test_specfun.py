@@ -47,6 +47,17 @@ class TestZeta0:
         with pytest.raises(ValueError):
             zeta0(np.inf)
 
+    def test_nonfinite_message_is_bounded(self):
+        with pytest.raises(ValueError, match=r"^x must be finite, got inf$"):
+            zeta0(float("inf"))
+        x = np.zeros((7, 200))
+        x[3, 17] = -np.inf
+        with pytest.raises(ValueError) as info:
+            t_logcdf(x, 4.0)
+        message = str(info.value)
+        assert message == "x must be finite, got 1 non-finite of 1400 entries, the first -inf"
+        assert len(message) < 100
+
     def test_derivative_matches_zeta1(self):
         # finite differences of zeta0 against zeta1 on [-8, 8]
         x = np.linspace(-8, 8, 81)
