@@ -820,15 +820,16 @@ class ProfilePoint:
 
 
 def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec) -> list[ProfilePoint]:
-    """Deviance profile D(alpha) = 2 {max-over-grid l*(.) - l*(alpha)}.
+    """Deviance profile D(alpha) = 2 {l(theta_hat) - l*(alpha)}, measured from the MLE.
 
-    Each grid point maximizes over the nuisance (xi, omega) with alpha
-    pinned, by the quasi-Newton search that also re-fits a clamped
-    divergent MLE (here to the default gradient tolerance, 1e-6),
-    warm-started from its predecessor in grid order; a bounded Brent
-    search between the grid values next below and above the best grid
-    point pins the normalizing maximum.  Nonconvergent inner fits are
-    flagged per point rather than aborting the sweep.
+    l(theta_hat) is :func:`fit_mle`'s maximum, so D keeps its meaning on
+    a grid that misses alpha_hat; a diverged MLE reports l at its clamp,
+    and a grid value above that takes its place.  Each grid point
+    maximizes over the nuisance (xi, omega) with alpha pinned, by the
+    quasi-Newton search that also re-fits a clamped divergent MLE (here
+    to the default gradient tolerance, 1e-6), warm-started from its
+    predecessor in grid order.  Nonconvergent inner fits are flagged per
+    point rather than aborting the sweep.
     """
     if spec.dimension != 1:
         raise ValueError("profile deviance is implemented for d = 1")
@@ -839,30 +840,17 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
     grid = [float(a) for a in alpha_grid]
     if not grid:
         raise ValueError("alpha_grid must be nonempty")
+    mle = fit_mle(data, spec)
     y = data.column(0)
     start = DirectParams.scalar(y.mean(), y.std() if y.std() > 0 else 1.0, 0.0,
                                 spec.fixed.get("nu"))
-    values, oks, starts = [], [], []
+    values, oks = [], []
     for a in grid:
         log = _SearchLog()
         start, val = _fit_alpha_pinned(data, spec, a, start, log)
         values.append(val)
         oks.append(log.converged)
-        starts.append(start)
-    # refine the maximum locally so D is normalized by the true profile peak;
-    # the neighbours are by value, so the grid may come in any order
-    i_best = int(np.argmax(values))
-    a_best = grid[i_best]
-    lo = max((a for a in grid if a < a_best), default=a_best)
-    hi = min((a for a in grid if a > a_best), default=a_best)
-    l_max = values[i_best]
-    if hi > lo:
-        warm = starts[i_best]
-        res = optimize.minimize_scalar(
-            lambda a: -_fit_alpha_pinned(data, spec, a, warm, _SearchLog())[1],
-            bounds=(lo, hi), method="bounded", options=dict(xatol=1e-7),
-        )
-        l_max = max(l_max, -res.fun)
+    l_max = max(mle.loglik_at_opt, *values)
     return [ProfilePoint(alpha=a, deviance=2.0 * (l_max - v), profile_loglik=v, converged=ok)
             for a, v, ok in zip(grid, values, oks)]
 
@@ -970,7 +958,10 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
     regularization).  ``fit`` must be a fit of ``spec`` to ``data``, else
     ValueError.  The 2k(k+1) difference points are evaluated as one
     stack, each bit-equal to :func:`loglik` minus the penalty at its own
-    :class:`DirectParams`.  The result is also attached to ``fit``.
+    :class:`DirectParams`.  The penalty coefficients are held at the
+    fit's (``fit.penalty``): with nu free, those at the MPLE's nu at every
+    difference point, while the MPLE's objective re-resolves them at each
+    point's nu.  The result is also attached to ``fit``.
     """
     if fit.diverged:
         raise DivergedMLEError("standard errors are undefined for a diverged fit")

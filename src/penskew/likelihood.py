@@ -61,6 +61,8 @@ class ModelSpec:
                 raise ValueError("pin 'omega_mat' rather than 'omega' for d > 1")
             if float(self.fixed["omega"]) <= 0:
                 raise ValueError(f"pinned omega must be positive, got {self.fixed['omega']!r}")
+        if "omega_mat" in self.fixed and self.dimension == 1:
+            raise ValueError("pin 'omega' rather than 'omega_mat' for d = 1")
         if "nu" in self.fixed:
             if self.family != "st":
                 raise ValueError("nu can only be pinned in the skew-t family")

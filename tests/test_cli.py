@@ -57,7 +57,9 @@ class TestFitCommand:
         # the fit failed with "nu must be positive, got inf"
         (["--family", "st", "--fix", "nu=inf"], "pinned nu must be finite, got inf"),
         (["--fix", "xi=nan"], "pinned xi must be finite, got nan"),
-    ], ids=["omega=0", "nu=inf", "xi=nan"])
+        # it would bypass the shape-only model and its exact one-sign test
+        (["--fix", "xi=0", "--fix", "omega_mat=1"], "pin 'omega' rather than 'omega_mat' for d = 1"),
+    ], ids=["omega=0", "nu=inf", "xi=nan", "omega_mat=1"])
     def test_bad_pinned_value_exit_one(self, extra, message, tmp_path, capsys):
         csv = write_csv(tmp_path / "y.csv", sn_sample(3.0, 30, 5).column(0))
         code = main(["fit", csv, "--estimator", "mple", *extra, "--out", os.devnull])

@@ -269,8 +269,8 @@ class TestProfileDeviance:
                                                      rel=0, abs=1e-9)
 
     def test_grid_order_does_not_move_the_deviances(self):
-        # the peak's Brent refinement once took its neighbours by index and
-        # skipped a descending grid: D here came out 0.0178 too low throughout
+        # each point is warm-started from its predecessor, so the two orders
+        # reach l* along different paths; D must not depend on the path
         data = sample(DirectParams.scalar(0.0, 1.0, 3.0), 80, np.random.SeedSequence(5))
         spec = ModelSpec(family="sn", dimension=1)
         grid = np.linspace(0.5, 8.0, 9)
@@ -280,6 +280,17 @@ class TestProfileDeviance:
         assert min(p.deviance for p in ascending) == pytest.approx(0.0178, abs=1e-4)
         assert [p.deviance for p in descending] == pytest.approx(
             [p.deviance for p in ascending], rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, 1.5], [-3.0, -2.0, -1.0]])
+    def test_grid_that_misses_the_mle(self, grid):
+        # alpha_hat = 4.03 lies right of both grids, so no grid point is near D = 0
+        data = sample(DirectParams.scalar(0.0, 1.0, 3.0), 80, np.random.SeedSequence(5))
+        spec = ModelSpec(family="sn", dimension=1)
+        l_hat = fit_mle(data, spec).loglik_at_opt
+        points = profile_deviance(grid, data, spec)
+        for p in points:
+            assert p.deviance == pytest.approx(2.0 * (l_hat - p.profile_loglik), rel=0, abs=1e-9)
+        assert min(p.deviance for p in points) > 3.0
 
     def test_rejects_pinned_nuisance(self):
         spec = ModelSpec(family="sn", dimension=1, fixed={"xi": 0.0, "omega": 1.0})
@@ -327,8 +338,10 @@ class TestModelSpec:
         ("sn", {"xi": 0.0, "omega": 0.0}, "pinned omega must be positive, got 0.0"),
         ("sn", {"omega": -1.0}, "pinned omega must be positive, got -1.0"),
         ("st", {"nu": 0.0}, "pinned nu must be positive, got 0.0"),
+        # it would bypass the shape-only model and its exact one-sign test
+        ("sn", {"xi": 0.0, "omega_mat": [[1.0]]}, "pin 'omega' rather than 'omega_mat' for d = 1"),
     ], ids=["xi=nan", "xi=inf", "omega=nan", "alpha=-inf", "nu=inf", "omega=0", "omega=-1",
-            "nu=0"])
+            "nu=0", "omega_mat-d1"])
     def test_rejects_a_bad_pinned_value(self, family, fixed, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ModelSpec(family=family, fixed=fixed)
