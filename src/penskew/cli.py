@@ -192,6 +192,7 @@ def _cmd_simulate(args) -> int:
     _write_output(summary.to_csv_string(), args.out)
     if args.json_out:
         _write_output(summary.to_json_string() + "\n", args.json_out)
+    print(f"work: {summary.metadata['work']}", file=sys.stderr)
     failures = summary.metadata.get("fit_failures") or {}
     if failures:
         print(f"fit failures: {failures}", file=sys.stderr)

@@ -262,7 +262,20 @@ def _stack_log_terms(rows, xi, omega_mat, alpha, nu):
     d, logdet = rows.shape[1], logdet[:, None]
     if nu is None:
         return -0.5 * d * _LOG2PI - 0.5 * logdet - 0.5 * qx + zeta0(u)
-    return _st_log_terms(qx, logdet, u, d, nu)
+    log1p_q, arg = np.log1p(qx / nu), u * np.sqrt((d + nu) / (qx + nu))
+    far = np.isinf(qx)
+    # where qx overflows, solve the difference scaled by its largest entry instead:
+    # log1p(qx / nu) is then log qx - log nu, and the CDF argument takes its limit
+    # sqrt(d + nu) u / sqrt(qx)
+    nus = np.broadcast_to(nu, (len(qx), 1))
+    for i in np.nonzero(far.any(axis=1))[0]:
+        v = rows[far[i]] - xi[i]
+        scale = np.max(np.abs(v), axis=1)
+        q, _, w = _mv_terms(v / scale[:, None], np.zeros((1, d)), omega_mat[i:i + 1],
+                            alpha[i:i + 1])
+        log1p_q[i, far[i]] = 2.0 * np.log(scale) + np.log(q[0]) - np.log(nus[i, 0])
+        arg[i, far[i]] = w[0] / np.sqrt(q[0]) * np.sqrt(d + nus[i, 0])
+    return _st_log_terms(log1p_q, logdet, arg, d, nu)
 
 
 def _logpdf(x, params: DirectParams):
@@ -318,21 +331,22 @@ def st_logpdf(x, params: DirectParams):
     return _logpdf(x, params)
 
 
-def _st_log_terms(qx, logdet, u, d, nu):
-    """Per-observation skew-t log densities of :func:`_mv_terms`' arrays.
+def _st_log_terms(log1p_q, logdet, arg, d, nu):
+    """Per-observation skew-t log densities from :func:`_mv_terms`' arrays.
 
-    ``qx`` holds the squared Mahalanobis distances, ``logdet`` is
-    log det Omega and ``u`` holds alpha' omega^-1 (x - xi); ``nu`` is a
-    float or an array broadcast against them.
+    ``log1p_q`` holds log1p(qx / nu) of the squared Mahalanobis distances
+    qx, ``logdet`` is log det Omega and ``arg`` holds the skew-t CDF
+    argument u sqrt((d + nu) / (qx + nu)), u = alpha' omega^-1 (x - xi);
+    ``nu`` is a float or an array broadcast against them.
     """
     log_td = (
         special.gammaln((nu + d) / 2.0)
         - special.gammaln(nu / 2.0)
         - 0.5 * d * np.log(nu * np.pi)
         - 0.5 * logdet
-        - 0.5 * (nu + d) * np.log1p(qx / nu)
+        - 0.5 * (nu + d) * log1p_q
     )
-    return _LOG2 + log_td + t_logcdf(u * np.sqrt((d + nu) / (qx + nu)), nu + d)
+    return _LOG2 + log_td + t_logcdf(arg, nu + d)
 
 
 def _delta_vector(params: DirectParams) -> np.ndarray:

@@ -18,7 +18,7 @@ of their central-difference Hessian as one such stack too.  Each
 point's value is bit-equal to that of a pass of its own.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
-alpha plus the estimator's correction.
+alpha plus the estimator's correction, one pass over the sample per step.
 """
 
 from __future__ import annotations
@@ -512,9 +512,9 @@ def _nu_at_bound(objective, fmap: _FreeMap, params: DirectParams) -> bool:
 def _moment_shape(g1) -> tuple:
     """(mean, delta, alpha) of the SN(0, 1, alpha) with index of skewness ``g1``;
     g1 is clipped to +-0.9 and delta to +-0.995, so every value is finite."""
-    c = np.cbrt(2.0 * np.clip(g1, -0.9, 0.9) / (4.0 - np.pi))
+    c = np.cbrt(2.0 * np.minimum(np.maximum(g1, -0.9), 0.9) / (4.0 - np.pi))
     mz = c / np.sqrt(1.0 + c * c)
-    delta = np.clip(mz * np.sqrt(np.pi / 2.0), -0.995, 0.995)
+    delta = np.minimum(np.maximum(mz * np.sqrt(np.pi / 2.0), -0.995), 0.995)
     return mz, delta, delta / np.sqrt(1.0 - delta * delta)
 
 
@@ -524,8 +524,9 @@ def _shape_moment_alpha(z: np.ndarray) -> np.ndarray:
     Works along axis 0, so a 2-D ``z`` gives one estimate per column and
     a 1-D ``z`` gives a scalar.
     """
-    return _moment_shape(np.mean(z**3, axis=0)
-                         / np.maximum(np.mean(z**2, axis=0), 1e-12) ** 1.5)[2]
+    z2 = z * z
+    return _moment_shape((z2 * z).sum(axis=0) / len(z)
+                         / np.maximum(z2.sum(axis=0) / len(z), 1e-12) ** 1.5)[2]
 
 
 def _mom_start(data: Dataset, spec: ModelSpec, fmap: _FreeMap) -> DirectParams:
@@ -576,6 +577,11 @@ def _check_data(data: Dataset, spec: ModelSpec, fmap: _FreeMap):
     if fmap.free_scale:
         if np.any(np.ptp(data.rows, axis=0) == 0):
             raise ValueError("degenerate data: a column is constant, scale not identifiable")
+        with np.errstate(over="ignore"):
+            sd = data.rows.std(axis=0)
+        if not np.all((sd > 0) & (sd < np.inf)):  # a spread that under- or overflows
+            raise ValueError("degenerate data: a column's standard deviation is not finite "
+                             "and positive, scale not identifiable")
         if data.n < spec.dimension + 2:
             raise ValueError(f"need at least d+2 = {spec.dimension + 2} observations, got {data.n}")
 
@@ -601,16 +607,17 @@ class _ShapeScore:
     def __init__(self, z: np.ndarray, nu: float | None):
         self.m = None if nu is None else nu + 1.0
         self.w = z if nu is None else z * np.sqrt(self.m / (nu + z * z))
+        self.w2 = self.w * self.w
 
     def __call__(self, a: float) -> tuple[float, float]:
         u = a * self.w
         if self.m is None:
             r = _zeta1(u)
-            dr = -r * (u + r)
+            r_dr = r * (u + r)  # -zeta1'(u)
         else:
             r = zeta1_t(u, self.m)
-            dr = -r * ((self.m + 1.0) * u / (self.m + u * u) + r)
-        return float(np.sum(self.w * r)), float(np.dot(self.w * self.w, dr))
+            r_dr = r * ((self.m + 1.0) * u / (self.m + u * u) + r)
+        return float((self.w * r).sum()), -float(self.w2 @ r_dr)
 
 
 def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int]:
@@ -860,8 +867,8 @@ def profile_deviance(alpha_grid: Sequence[float], data: Dataset, spec: ModelSpec
 
 _GH_NODES, _GH_WEIGHTS = _gauss_hermite(64)
 _GH_W2 = _GH_WEIGHTS * _GH_NODES * _GH_NODES  # the data-free factors of _sn_m_and_slope
-_GH_W4 = _GH_W2 * _GH_NODES * _GH_NODES
-_GH_W2X, _GH_W4X = _GH_W2 * _GH_NODES, _GH_W4 * _GH_NODES
+_GH_W24 = np.array([_GH_W2, _GH_W2 * _GH_NODES * _GH_NODES])  # rows w x^2 and w x^4
+_GH_W24X = _GH_W24 * _GH_NODES
 
 
 def _sn_m_and_slope(a: float) -> tuple[float, float]:
@@ -875,11 +882,10 @@ def _sn_m_and_slope(a: float) -> tuple[float, float]:
     s = 1.0 + a * a
     u = (a / math.sqrt(s)) * _GH_NODES
     r = _zeta1(u)
-    dr = -r * (u + r)
-    e2, e4 = float(np.dot(_GH_W2, r)), float(np.dot(_GH_W4, r))
-    de2, de4 = float(np.dot(_GH_W2X, dr)), float(np.dot(_GH_W4X, dr))
+    e2, e4 = (_GH_W24 @ r).tolist()
+    de2, de4 = (_GH_W24X @ (r * (u + r))).tolist()  # minus the slopes
     ratio = e4 / e2
-    d_ratio = (de4 - ratio * de2) / e2 / (s * math.sqrt(s))
+    d_ratio = (ratio * de2 - de4) / e2 / (s * math.sqrt(s))
     amp = -a / (2.0 * s)
     return amp * ratio, -(1.0 - a * a) / (2.0 * s * s) * ratio + amp * d_ratio
 

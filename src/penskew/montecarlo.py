@@ -253,7 +253,7 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
     data = sample(config.true_params, n,
                   np.random.SeedSequence(config.base_seed, spawn_key=(n, rep)))
     need = _needed_fits(config.estimators)
-    out = {"rep": rep, "diverged": False, "errors": {}, "stop_reasons": {}}
+    out = {"rep": rep, "diverged": False, "errors": {}, "stop_reasons": {}, "work": {}}
     fits = {}
     # the lambdas look the fit functions up in this module at call time, so
     # wrappers set on the module (e.g. a tracer's) see every call
@@ -274,6 +274,7 @@ def _run_replicate(config: StudyConfig, n: int, rep: int) -> dict:
             fits[name] = call()
             out[name] = fmap.direct_pack(fits[name].estimates)
             out["stop_reasons"][name] = fits[name].stop_reason
+            out["work"][name] = (fits[name].evaluations, fits[name].iterations)
         except Exception as exc:  # fit failures are counted, not fatal
             out["errors"][name] = repr(exc)
     if "MLE" in fits:
@@ -330,14 +331,15 @@ def run_study(config: StudyConfig) -> StudySummary:
     Deterministic given the config (including base_seed); replicate
     failures are logged and counted separately from MLE divergence.  The
     metadata's ``stop_reasons`` counts, per "estimator@n=n", the
-    ``FitResult.stop_reason`` of the estimates that the summary uses.
+    ``FitResult.stop_reason`` of the estimates that the summary uses, and
+    its ``work`` sums their ``evaluations`` and ``iterations``.
     """
     spec = config.model_spec()
     fmap = _FreeMap(spec)
     names = fmap.direct_names
     truth = fmap.direct_pack(config.true_params)
     rows, est_store, div_store = [], {e: {} for e in config.estimators}, {}
-    failure_counts, failure_kinds, stop_reasons = {}, {}, {}
+    failure_counts, failure_kinds, stop_reasons, work = {}, {}, {}, {}
     for n, results in _replicates_by_n(config):
         diverged = np.array([r["diverged"] for r in results], dtype=bool)
         div_store[n] = diverged.tolist()
@@ -358,6 +360,9 @@ def run_study(config: StudyConfig) -> StudySummary:
                               if r["stop_reasons"][est] is not None)
             if reasons:
                 stop_reasons[f"{est}@n={n}"] = dict(sorted(reasons.items()))
+            counts = [r["work"][est] for r in ok]
+            work[f"{est}@n={n}"] = {"evaluations": sum(e for e, _ in counts),
+                                    "iterations": sum(i for _, i in counts)}
             arr = np.array([r[est] for r in ok]).reshape(len(ok), len(names))
             mask_fin = np.array([not r["diverged"] for r in ok], dtype=bool)
             est_store[est][n] = arr.tolist()
@@ -387,6 +392,7 @@ def run_study(config: StudyConfig) -> StudySummary:
         "fit_failures": failure_counts,
         "failure_kinds": failure_kinds,
         "stop_reasons": stop_reasons,
+        "work": work,
         "estimates": est_store,
         "diverged": div_store,
     }

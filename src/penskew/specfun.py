@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 _LOG2 = np.log(2.0)
-_LOG2PI = np.log(2.0 * np.pi)
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_MINUS_SQRT_HALF = -np.sqrt(0.5)
 
 
 class QuadratureError(RuntimeError):
@@ -81,8 +82,9 @@ def zeta0(x):
 def zeta1(x):
     """Inverse Mills ratio phi(x) / Phi(x).
 
-    Computed as exp(log phi - log Phi); the log-space subtraction keeps
-    the ratio accurate where both factors underflow.  Strictly positive,
+    Computed as sqrt(2/pi) / erfcx(-x / sqrt(2)), erfcx(y) = exp(y^2) erfc(y):
+    against mpmath, about 1e-16 relative at x = -40 and 1e-13 at x = 37
+    (a ratio of about 1e-298); 0 from x = 37.66 on, where erfcx overflows.
     ~ -x as x -> -inf and -> 0 as x -> +inf.
     """
     return _maybe_scalar(_zeta1(_as_float_array(x)))
@@ -90,7 +92,7 @@ def zeta1(x):
 
 def _zeta1(arr: np.ndarray) -> np.ndarray:
     """:func:`zeta1` on a float array already known to be finite."""
-    return np.exp(-0.5 * arr * arr - 0.5 * _LOG2PI - special.log_ndtr(arr))
+    return _SQRT_2_OVER_PI / special.erfcx(arr * _MINUS_SQRT_HALF)
 
 
 def t_logpdf(x, nu):

@@ -186,6 +186,13 @@ class TestSimulateCommand:
         assert "fit failures: {'MPLE@n=40': 1}\n" in err
         assert "failure kinds: {'MPLE@n=40': {'RuntimeError': 1}}\n" in err
 
+    def test_work_on_stderr(self, tmp_path, capsys):
+        jout = tmp_path / "s.json"
+        assert main(["simulate", "smoke", "--out", os.devnull, "--json-out", str(jout)]) == 0
+        work = json.loads(jout.read_text())["metadata"]["work"]
+        assert set(work) == {"MLE@n=40", "MPLE@n=40"}
+        assert f"work: {work}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("change, field", [
         ({"sample_sizes": [20, 20]}, "sample_sizes"),
         ({"sample_sizes": [0]}, "sample_sizes"),

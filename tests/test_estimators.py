@@ -21,6 +21,7 @@ from penskew.estimators import (
     fit_mle,
     fit_mple,
     fit_sf_one_param,
+    profile_deviance,
     resolve_penalty,
     sn_m_exact,
     st_m_exact,
@@ -96,6 +97,24 @@ class TestFitMle:
     def test_rejects_degenerate_data(self):
         with pytest.raises(ValueError):
             fit_mle(Dataset(np.ones(10)), THREE_PARAM)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0.1, 0.1, 0.1], "constant"),  # np.std is about 1.4e-17: the mean is not exact
+        (np.full(50, 0.1), "constant"),
+        ([0.0, 1e-320, 0.0, 2e-320], "standard deviation is not finite and positive"),
+        ([1e300, -1e300, 0.0, 1.0], "standard deviation is not finite and positive"),
+    ])
+    def test_rejects_a_column_without_a_finite_positive_spread(self, rows, message):
+        # no finite maximum to report; np.ptp > 0 for the last two, whose std is 0 or inf
+        column = np.asarray(rows, dtype=float)
+        for fit in (fit_mle, fit_mple):
+            with pytest.raises(ValueError, match=message):
+                fit(Dataset(column), THREE_PARAM)
+        with pytest.raises(ValueError, match=message):
+            profile_deviance([1.0], Dataset(column), THREE_PARAM)
+        two = Dataset(np.column_stack([np.linspace(-1.0, 2.0, len(column)), column]))
+        with pytest.raises(ValueError, match=message):
+            fit_mle(two, ModelSpec(dimension=2))
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
@@ -542,6 +561,28 @@ def test_one_param_fits_match_brent_oracle(spec, n, alpha):
             assert abs(oracle_sf_score(data.column(0), sf)) <= 1e-9 * n
 
 
+# shape-only (MLE, MPLE, SF) estimates and score evaluations on the criterion-5
+# samples SeedSequence(20260810, spawn_key=(n, rep)) of SN(0, 1, 5), recorded
+# before zeta1 took its erfcx form
+RECORDED_SHAPE_FITS = {
+    (50, 0): ((8.159299877654695, 5.743547475339278, 5.738360455407868), (7, 6, 9)),
+    (50, 1): ((12.694316302348273, 4.913424758765962, 4.906066689050211), (9, 9, 10)),
+    (1000, 0): ((5.386721741905404, 5.327357469930555, 5.3271825140057585), (7, 7, 10)),
+    (1000, 1): ((5.84030316256407, 5.7766366543696295, 5.776475643309863), (6, 6, 9)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_SHAPE_FITS))
+def test_shape_only_fits_match_their_recorded_values(key):
+    data = sample(DirectParams.scalar(0.0, 1.0, 5.0), key[0], seeded(20260810, *key))
+    fits = [fit(data, ONE_PARAM) for fit in (fit_mle, fit_mple, fit_sf_one_param)]
+    alphas, evaluations = RECORDED_SHAPE_FITS[key]
+    np.testing.assert_allclose([float(f.estimates.alpha[0]) for f in fits], alphas,
+                               rtol=1e-12, atol=0)
+    assert tuple(f.evaluations for f in fits) == evaluations
+    assert not fits[0].diverged
+
+
 def test_newton_derivatives_match_central_differences():
     # the one-parameter fits step with these slopes; a wrong one would only slow them
     from penskew.estimators import _ShapeScore, _sn_m_and_slope
@@ -804,6 +845,23 @@ def point_mahalanobis_and_logdet(v, omega_mat):
     return np.sum(sol * sol, axis=0), 2.0 * np.sum(np.log(np.diag(chol)))
 
 
+def point_st_log1p_and_arg(v, omega_mat, alpha, qx, u, nu):
+    """log1p(qx / nu) and the skew-t CDF argument u sqrt((d + nu) / (qx + nu)); where
+    qx overflows, log qx - log nu and the limit sqrt(d + nu) u / sqrt(qx), from each
+    difference scaled by its largest entry."""
+    d = len(alpha)
+    log1p_q, arg = np.log1p(qx / nu), u * np.sqrt((d + nu) / (qx + nu))
+    far = np.isinf(qx)
+    if far.any():
+        scale = np.max(np.abs(v[far]), axis=1)
+        vs = v[far] / scale[:, None]
+        qs, _ = point_mahalanobis_and_logdet(vs, omega_mat)
+        us = (vs / np.sqrt(np.diag(omega_mat))) @ alpha
+        log1p_q[far] = 2.0 * np.log(scale) + np.log(qs) - np.log(nu)
+        arg[far] = us / np.sqrt(qs) * np.sqrt(d + nu)
+    return log1p_q, arg
+
+
 def point_decode(fmap, x):
     """(xi, omega_mat, alpha, nu) of one optimizer vector, decoded on its own."""
     fixed, d = fmap.spec.fixed, fmap.d
@@ -864,7 +922,8 @@ def point_objective(data, spec, fmap, penalty):
                     ll = float(np.sum(-0.5 * spec.dimension * np.log(2 * np.pi) - 0.5 * logdet
                                       - 0.5 * qx + np.log(2.0) + special.log_ndtr(u)))
                 else:
-                    ll = float(np.sum(_st_log_terms(qx, logdet, u, spec.dimension, nu)))
+                    log1p_q, arg = point_st_log1p_and_arg(v, omega_mat, alpha, qx, u, nu)
+                    ll = float(np.sum(_st_log_terms(log1p_q, logdet, arg, spec.dimension, nu)))
             except ValueError:  # a skew-t CDF argument that is not finite
                 return _BIG
             w = alpha / omega_diag
@@ -1014,9 +1073,9 @@ def invalid_rows(fmap, x):
         # is not finite
         out["z not finite"] = x.copy()
         out["z not finite"][[0, 1]] = (1e308, math.log(1e-5))
-    if fmap.free_xi and fmap.free_scale and fmap.d > 1:
+    if fmap.free_xi and fmap.free_scale and fmap.d > 1 and fmap.spec.family == "sn":
         # Omega_11 = 1e-10 is in range, but (y_1 - xi_1) / omega_1 overflows:
-        # the skew-t CDF argument is -inf * 0 = NaN
+        # qx is inf (the skew-t log density takes its far-tail form there)
         out["residual overflows"] = x.copy()
         out["residual overflows"][[0, 1]] = (1e308, 0.0)
         out["residual overflows"][fmap.direct_names.index("omega_11")] = math.log(1e-5)
@@ -1029,9 +1088,9 @@ def invalid_rows(fmap, x):
                             ("nu exp overflow", 800.0)):
             out[name] = x.copy()
             out[name][-1] = value
-    if fmap.free_xi and not (fmap.d == 1 and fmap.spec.family == "st"):
-        # (y - xi)^2 overflows: a non-finite log-likelihood (the d = 1 skew-t
-        # log density takes its far-tail form there and stays finite)
+    if fmap.free_xi and fmap.spec.family == "sn":
+        # (y - xi)^2 overflows: a non-finite log-likelihood (the skew-t log
+        # density takes its far-tail form there and stays finite)
         out["non-finite loglik"] = x.copy()
         out["non-finite loglik"][0] = 1e300
     return out
@@ -1065,16 +1124,17 @@ def test_batch_objective_equals_per_point_objective(name, penalized):
             np.linalg.cholesky(omega_mat)
 
 
-@pytest.mark.parametrize("name", ["st_pin", "st_free"])
+@pytest.mark.parametrize("name", ["st_pin", "st_free", "d2_st_pin", "d2_st_free"])
 def test_skew_t_objective_is_finite_where_the_residual_square_overflows(name):
     truth, spec = BATCH_CLASSES[name]
     fmap = _FreeMap(spec)
     data = sample(truth, 120, seeded(17, len(name)))
     X = np.vstack([fmap.pack(truth)] * 2)
-    X[0, 0] = 1e300  # xi: every (y - xi)^2 overflows
+    X[0, 0] = 1e300  # xi (xi_1): every (y - xi)^2 overflows
     # z is finite, but alpha z overflows too: alpha z * 0 is NaN until the
-    # skew-t CDF argument takes its limit alpha sign(z) sqrt(nu + 1)
-    X[1, :2] = (1e305, math.log(1e-3))
+    # skew-t CDF argument takes its limit (for d = 1, alpha sign(z) sqrt(nu + 1))
+    X[1, [0, fmap.direct_names.index("omega" if fmap.d == 1 else "omega_11")]] = (
+        1e305, math.log(1e-3))
     with np.errstate(over="ignore", invalid="ignore"):
         values = _neg_loglik_factory(data, spec, fmap, None)(X)
         assert np.array_equal(values, [point_objective(data, spec, fmap, None)(x) for x in X])

@@ -128,6 +128,27 @@ class TestLoglik:
             values = loglik(p, Dataset([y]), ModelSpec(family="st")), st_logpdf(y, p)
         np.testing.assert_allclose(values, self.FAR_TAIL[y], rtol=1e-13, atol=0)
 
+    # log densities of the bivariate ST(0, [[1, .5], [.5, 1]], (3, -1), nu = 5) where
+    # the squared Mahalanobis distance qx overflows, by mpmath at 60 digits
+    FAR_TAIL_D2 = {(1e200, 0.0): -3219.9939920255175, (-1e200, 0.0): -3229.0351705465561,
+                   (1e160, -3e159): -2576.4227920163203, (0.0, 1e200): -3223.5747654535984,
+                   (3e154, 1e154): -2485.3722719598864}
+
+    def test_bivariate_skew_t_far_tail(self):
+        p = DirectParams(xi=[0.0, 0.0], omega_mat=[[1.0, 0.5], [0.5, 1.0]], alpha=[3.0, -1.0],
+                         nu=5.0)
+        near = sample(p, 20, 3).rows
+        x = np.vstack([list(self.FAR_TAIL_D2), near])
+        with np.errstate(over="ignore"):
+            values = st_logpdf(x, p)
+            spec = ModelSpec(family="st", dimension=2)
+            sums = [loglik(p, Dataset(np.array([row])), spec) for row in x[:5]]
+        np.testing.assert_allclose(values[:5], list(self.FAR_TAIL_D2.values()), rtol=1e-13,
+                                   atol=0)
+        assert np.array_equal(sums, values[:5])
+        # the rows whose qx is finite keep their bits
+        assert np.array_equal(values[5:], st_logpdf(near, p))
+
 
 class TestPenalizedLoglik:
     def test_equals_loglik_at_zero_shape(self, rng):

@@ -110,7 +110,7 @@ def shape_only_config(**kw):
 def assert_same_study(a, b):
     assert a.to_csv_string() == b.to_csv_string()
     assert a.to_json_string() == b.to_json_string()
-    for key in ("estimates", "diverged", "fit_failures", "failure_kinds"):
+    for key in ("estimates", "diverged", "fit_failures", "failure_kinds", "work"):
         assert a.metadata[key] == b.metadata[key]
 
 
@@ -253,6 +253,56 @@ class TestFailureReporting:
     def test_clean_study_reports_no_failures(self):
         s = run_study(three_param_config(replicates=3))
         assert s.metadata["fit_failures"] == {} == s.metadata["failure_kinds"]
+
+
+class TestWorkCounts:
+    def test_sums_the_counts_of_the_fits_behind_the_estimates(self):
+        cfg = shape_only_config(replicates=3)
+        work = run_study(cfg).metadata["work"]
+        spec = cfg.model_spec()
+        expected = {}
+        for n in cfg.sample_sizes:
+            totals = {e: [0, 0] for e in cfg.estimators}
+            for rep in range(cfg.replicates):
+                data = sample(cfg.true_params, n, np.random.SeedSequence(413, spawn_key=(n, rep)))
+                fits = {"MLE": montecarlo.fit_mle(data, spec),
+                        "MPLE": montecarlo.fit_mple(data, spec),
+                        "SF": montecarlo.fit_sf_one_param(data, spec)}
+                fits["WBAR"] = montecarlo.fit_wbar(data, spec, fits["MLE"], fits["MPLE"],
+                                                   allow_boundary_mle=True)
+                for e, f in fits.items():
+                    totals[e][0] += f.evaluations
+                    totals[e][1] += f.iterations
+            expected.update({f"{e}@n={n}": {"evaluations": ev, "iterations": it}
+                             for e, (ev, it) in totals.items()})
+        assert work == expected
+
+    @staticmethod
+    def totals(work):
+        out = {}
+        for key, counts in work.items():
+            t = out.setdefault(key.partition("@")[0], [0, 0])
+            t[0] += counts["evaluations"]
+            t[1] += counts["iterations"]
+        return out
+
+    def test_rate_study_slice(self):
+        # the first 40 criterion-5 replicates per n: shape-only fits count score
+        # evaluations, one per iteration; the counts are the same on a pool
+        cfg = shape_only_config(sample_sizes=(50, 100, 250, 500, 1000), replicates=40,
+                                base_seed=20260810)
+        work = run_study(cfg).metadata["work"]
+        assert self.totals(work) == {"MLE": [1419, 1419], "MPLE": [1510, 1510],
+                                     "SF": [1976, 1976], "WBAR": [200, 0]}
+        assert run_study(dataclasses.replace(cfg, workers=2)).metadata["work"] == work
+
+    def test_table1_slice(self):
+        # the first 300 criterion-4 replicates: objective rows and BFGS iterations
+        s = run_study(three_param_config(sample_sizes=(50,), replicates=300,
+                                         base_seed=20260809, workers=2))
+        assert self.totals(s.metadata["work"]) == {"MLE": [38314, 3927], "MPLE": [34594, 3467],
+                                                   "WBAR": [300, 0]}
+        assert s.to_json_dict()["metadata"]["work"] == s.metadata["work"]
 
 
 class TestDivergenceRow:

@@ -91,6 +91,13 @@ class TestSnCoeffs:
         assert c.c2 == pytest.approx(0.856250, abs=1e-5)
         assert c.provenance == "SN_EXACT"
 
+    def test_c1_c2_bits(self):
+        # pinned bit for bit: a change to zeta1 that moves e2 moves every
+        # shape-only and 3-parameter MPLE objective
+        c = sn_coeffs()
+        assert (c.c1.hex(), c.c2.hex()) == ("0x1.c0779f6e7119ep-1", "0x1.b6665e81eafe5p-1")
+        assert sn_e_coeffs()[1] == 0.2854165882616437
+
     def test_moment_ratio_linearity(self):
         # a2/a4 at alpha^2 = 25 against the independent density-based oracle
         e1, e2 = sn_e_coeffs()

@@ -82,6 +82,18 @@ class TestZeta1:
     def test_positive_everywhere(self):
         assert np.all(zeta1(np.linspace(-37, 37, 149)) > 0)
 
+    def test_against_mpmath(self):
+        # the closed form sqrt(2/pi) / erfcx(-x / sqrt(2)) on [-40, 37]: about 1e-16
+        # in the left tail, growing to about 1e-13 at x = 37 where the ratio is ~1e-298
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = np.linspace(-40.0, 37.0, 155)
+        exact = np.array([float(mp.npdf(v) / mp.ncdf(v)) for v in x])
+        np.testing.assert_allclose(zeta1(x), exact, rtol=3e-13, atol=0)
+        left = x <= 0
+        np.testing.assert_allclose(zeta1(x[left]), exact[left], rtol=1e-15, atol=0)
+        assert zeta1(-40.0) == pytest.approx(float(mp.npdf(-40) / mp.ncdf(-40)), rel=1e-15)
+
 
 class TestStudentT:
     def test_cdf_at_zero(self):
