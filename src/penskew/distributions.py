@@ -382,14 +382,19 @@ def sample(params: DirectParams, n: int, seed) -> Dataset:
 
 
 def alpha_star(params: DirectParams) -> float:
-    """Scalar shape summary sqrt(alpha' Omega-bar alpha); zero iff alpha = 0."""
-    return _alpha_star(params.omega_mat, params.alpha)
+    """Scalar shape summary sqrt(alpha' Omega-bar alpha); zero iff alpha = 0.  The square
+    root of :func:`_alpha_star_sq` on a one-row stack, so |alpha| bit for bit at d = 1."""
+    return float(np.sqrt(_alpha_star_sq(params.omega_mat[None], params.alpha[None])[0]))
 
 
-def _alpha_star(omega_mat: np.ndarray, alpha: np.ndarray) -> float:
-    """:func:`alpha_star` of raw arrays, by :attr:`DirectParams.omega_bar`'s arithmetic."""
-    s = np.sqrt(np.diag(omega_mat))
-    return float(np.sqrt(alpha @ (omega_mat / np.outer(s, s)) @ alpha))
+def _alpha_star_sq(omega_mat: np.ndarray, alpha: np.ndarray) -> list:
+    """alpha*^2 = alpha' Omega-bar alpha of each row of a stack (omega_mat (m, d, d), alpha
+    (m, d)), as m floats: a * a for d = 1, v' Omega v with v = alpha / sqrt(diag Omega) for
+    d > 1.  The one formula of the penalty, in the objective, standard errors and WBAR."""
+    if alpha.shape[1] == 1:
+        return [a * a for a in alpha[:, 0].tolist()]
+    v = alpha / np.sqrt(np.diagonal(omega_mat, axis1=1, axis2=2))
+    return [float(w @ o @ w) for w, o in zip(v, omega_mat)]
 
 
 def delta_of_alpha(alpha: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
-from .distributions import Dataset, DirectParams, _alpha_star, _mv_terms
+from .distributions import Dataset, DirectParams, _alpha_star_sq, _mv_terms
 from .likelihood import ModelSpec, _stack_loglik, loglik, resolve_penalty
 from .penalty import PenaltyCoeffs, q_value
 from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
@@ -89,8 +89,10 @@ class FitResult:
     the shape-only ones.  ``nu_at_bound`` flags a free nu that ended at or
     next to an edge of its search range [0.1, 1e6].  ``stop_reason`` says
     why the search behind the estimate ended: "gtol", "maxiter",
-    "line-search" or "non-finite" for BFGS; "root", "one-sign",
-    "zero-score" or "no-sign-change" for the shape-only bracket search.
+    "line-search", "non-finite" or "threshold" for BFGS; "root", "one-sign",
+    "zero-score" or "no-sign-change" for the shape-only bracket search;
+    "separated" for a d > 1 shape-only skew-normal MLE whose sample is
+    separated (:func:`fit_mle`).
     """
 
     method: str
@@ -311,16 +313,10 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
                     and -inf < (y_lo - x) / w <= (y_hi - x) / w < inf
                     for x, w, a in zip(xi[:, 0].tolist(), np.sqrt(omega_mat[:, 0, 0]).tolist(),
                                        alpha[:, 0].tolist())]
-
-        shape_sq = lambda omega_mat, alpha: [a * a for a in alpha[:, 0].tolist()]
     else:
         def rows_ok(xi, omega_mat, alpha):
             diag = np.diagonal(omega_mat, axis1=1, axis2=2)
             return np.all((diag > 1e-12) & (diag <= 1e12), axis=1).tolist()  # NaN fails both
-
-        def shape_sq(omega_mat, alpha):
-            w = alpha / np.sqrt(np.diagonal(omega_mat, axis1=1, axis2=2))
-            return [float(v @ o @ v) for v, o in zip(w, omega_mat)]
 
     if spec.family == "sn" and d > 1:
         def loglik_pass(xi, omega_mat, alpha, nu):
@@ -352,7 +348,7 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
                 if math.isfinite(value):
                     out[i] = -value
         else:
-            for i, value, a2, v in zip(index, ll, shape_sq(omega_mat, alpha), nu):
+            for i, value, a2, v in zip(index, ll, _alpha_star_sq(omega_mat, alpha), nu):
                 if math.isfinite(value):
                     out[i] = -(value - penalty(a2, v))
         return out
@@ -743,13 +739,46 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     alpha is scaled back to it along that iterate's direction, and any
     other free parameters are re-maximized there to a gradient tolerance
     of 1e-7.  That re-fit then sets ``converged`` and ``stop_reason``.
+
+    The d > 1 shape-only skew-normal (xi and Omega pinned) first runs the
+    exact test for a supremum at infinity (:func:`_separating_direction`);
+    a sample it flags is reported clamped at the threshold along the
+    separating direction, with no search and ``stop_reason`` "separated".
     """
     thr = _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MLE", (thr,))
+    if spec.family == "sn" and fmap.free_alpha and not (fmap.free_xi or fmap.free_scale):
+        # the d > 1 shape-only skew-normal: separation is its exact divergence test
+        xi, omega_mat = fmap._fixed("xi"), fmap._fixed_omega_mat()
+        a = _separating_direction((data.rows - xi) / np.sqrt(np.diag(omega_mat)))
+        if a is not None:
+            est = DirectParams(xi=xi, omega_mat=omega_mat, alpha=a * (thr / np.max(np.abs(a))))
+            return FitResult(method="MLE", estimates=est, loglik_at_opt=loglik(est, data, spec),
+                             diverged=True, stop_reason="separated")
     return _fit_bfgs(data, spec, fmap, None, thr)
+
+
+def _separating_direction(z: np.ndarray) -> np.ndarray | None:
+    """A direction a with a'z_i >= 0 for every row z_i of ``z`` and > 0 for some, or None.
+
+    The shape-only skew-normal log-likelihood sum log 2 Phi(alpha' z_i) is
+    a probit log-likelihood whose responses are all 1, concave in alpha;
+    it has no finite maximum exactly when such an a exists, and rises
+    along it toward its supremum at infinity (Albert & Anderson 1984).
+    The linear program max sum a'z_i subject to a'z_i >= 0 and
+    |a_j| <= 1 (scipy's HiGHS) finds one; its optimum is 0 when none
+    exists, and one below 1e-9 sum |z| counts as 0, the solver's rounding.
+    For the skew-t, log T is not concave, so a rising ray does not show
+    that no finite maximum exists, and the test is not applied there.
+    """
+    res = optimize.linprog(-z.sum(axis=0), A_ub=-z, b_ub=np.zeros(len(z)),
+                           bounds=(-1.0, 1.0), method="highs")
+    if res.status != 0 or -res.fun <= 1e-9 * np.abs(z).sum():
+        return None
+    return res.x
 
 
 def _fit_bfgs(data: Dataset, spec: ModelSpec, fmap: _FreeMap, penalty: Callable | None,
@@ -963,11 +992,11 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
     otherwise :class:`InformationMatrixError` is raised (no silent
     regularization).  ``fit`` must be a fit of ``spec`` to ``data``, else
     ValueError.  The 2k(k+1) difference points are evaluated as one
-    stack, each bit-equal to :func:`loglik` minus the penalty at its own
-    :class:`DirectParams`.  The penalty coefficients are held at the
-    fit's (``fit.penalty``): with nu free, those at the MPLE's nu at every
-    difference point, while the MPLE's objective re-resolves them at each
-    point's nu.  The result is also attached to ``fit``.
+    stack: :func:`loglik` of each, bit for bit, and alpha*^2 of all by the
+    MPLE objective's formula (``_alpha_star_sq``).  The penalty coefficients
+    are held at the fit's (``fit.penalty``): with nu free, those at the
+    MPLE's nu at every difference point, while the MPLE's objective
+    re-resolves them at each point's nu.  The result is also attached to ``fit``.
     """
     if fit.diverged:
         raise DivergedMLEError("standard errors are undefined for a diverged fit")
@@ -1006,9 +1035,9 @@ def stderr_from_penalized_info(fit: FitResult, data: Dataset, spec: ModelSpec) -
         except ValueError as exc:
             raise InformationMatrixError(
                 f"a Hessian point stepped in {step} leaves the parameter space: {exc}") from exc
-    pll = [value - q_value(coeffs, _alpha_star(o, a) ** 2)
-           for value, o, a in zip(_stack_loglik(data, xi, omega_mat, alpha, nu).tolist(),
-                                  omega_mat, alpha)]
+    pll = [value - q_value(coeffs, a2) for value, a2 in
+           zip(_stack_loglik(data, xi, omega_mat, alpha, nu).tolist(),
+               _alpha_star_sq(omega_mat, alpha))]
     hess = np.empty((k, k))
     for p, (i, j) in enumerate(pairs):
         pp, pm, mp, mm = pll[4 * p:4 * p + 4]

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Dataset, DirectParams, _stack_log_terms, alpha_star, sn_logpdf
+from .distributions import Dataset, DirectParams, _alpha_star_sq, _stack_log_terms, sn_logpdf
 from .penalty import PenaltyCoeffs, q_value, sn_coeffs, st_coeffs
 
 __all__ = [
@@ -51,18 +51,25 @@ class ModelSpec:
             raise ValueError(f"family must be 'sn' or 'st', got {self.family!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        for key, value in self.fixed.items():
+        d = self.dimension
+        for key in self.fixed:
             if key not in _FIXABLE:
                 raise ValueError(f"unknown fixed component {key!r}")
+        if "omega" in self.fixed and d > 1:
+            raise ValueError("pin 'omega_mat' rather than 'omega' for d > 1")
+        if "omega_mat" in self.fixed and d == 1:
+            raise ValueError("pin 'omega' rather than 'omega_mat' for d = 1")
+        vector, scalar = (((), (d,)), f"a scalar or of length {d}"), (((),), "a scalar")
+        shapes = {"xi": vector, "alpha": vector, "omega_mat": (((d, d),), f"a {d} x {d} matrix"),
+                  "omega": scalar, "nu": scalar}
+        for key, value in self.fixed.items():
+            allowed, wanted = shapes[key]
+            if np.shape(value) not in allowed:
+                raise ValueError(f"pinned {key} must be {wanted}, got shape {np.shape(value)}")
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise ValueError(f"pinned {key} must be finite, got {value!r}")
-        if "omega" in self.fixed:
-            if self.dimension > 1:
-                raise ValueError("pin 'omega_mat' rather than 'omega' for d > 1")
-            if float(self.fixed["omega"]) <= 0:
-                raise ValueError(f"pinned omega must be positive, got {self.fixed['omega']!r}")
-        if "omega_mat" in self.fixed and self.dimension == 1:
-            raise ValueError("pin 'omega' rather than 'omega_mat' for d = 1")
+        if "omega" in self.fixed and float(self.fixed["omega"]) <= 0:
+            raise ValueError(f"pinned omega must be positive, got {self.fixed['omega']!r}")
         if "nu" in self.fixed:
             if self.family != "st":
                 raise ValueError("nu can only be pinned in the skew-t family")
@@ -150,13 +157,14 @@ def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
 
 
 def penalized_loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
-    """Log-likelihood minus the shape penalty at alpha*^2.
+    """Log-likelihood minus the shape penalty at alpha*^2 (``_alpha_star_sq``).
 
     The coefficients are the model's at ``params.nu``
     (:func:`resolve_penalty`).
     """
     coeffs = resolve_penalty(spec, params.nu)
-    return loglik(params, data, spec) - q_value(coeffs, alpha_star(params) ** 2)
+    return loglik(params, data, spec) - q_value(
+        coeffs, _alpha_star_sq(params.omega_mat[None], params.alpha[None])[0])
 
 
 def score_proportionality_check(data: Dataset, spec: ModelSpec) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .distributions import Dataset, DirectParams, alpha_star, sample
+from .distributions import Dataset, DirectParams, _alpha_star_sq, sample
 from .estimators import DivergedMLEError, FitResult, fit_mle, fit_mple
 from .likelihood import ModelSpec, loglik, penalized_loglik
 from .penalty import q_value
@@ -73,14 +73,6 @@ def _check_compatible(a: DirectParams, b: DirectParams) -> None:
         raise ValueError("cannot interpolate between incompatible parameter vectors")
 
 
-def _segment_alpha_star_sq(a: DirectParams, b: DirectParams, t: float) -> float:
-    """alpha*^2 = alpha' Omega-bar alpha at (1-t) a + t b, from the raw arrays."""
-    alpha = (1 - t) * a.alpha + t * b.alpha
-    omega_mat = (1 - t) * a.omega_mat + t * b.omega_mat
-    z = alpha / np.sqrt(np.diag(omega_mat))
-    return float(z @ omega_mat @ z)
-
-
 def w_statistics(theta: DirectParams, data: Dataset, spec: ModelSpec,
                  mle: FitResult, mple: FitResult) -> tuple[float, float]:
     """(W, W_p) at ``theta``: twice the likelihood drops from the two optima.
@@ -97,7 +89,8 @@ def w_statistics(theta: DirectParams, data: Dataset, spec: ModelSpec,
         raise ValueError("penalized fit carries no penalty coefficients")
     ll = loglik(theta, data, spec)
     w = 2.0 * (mle.loglik_at_opt - ll)
-    wp = 2.0 * (mple.penalized_loglik_at_opt - (ll - q_value(coeffs, alpha_star(theta) ** 2)))
+    a2 = _alpha_star_sq(theta.omega_mat[None], theta.alpha[None])[0]
+    wp = 2.0 * (mple.penalized_loglik_at_opt - (ll - q_value(coeffs, a2)))
     return float(w), float(wp)
 
 
@@ -138,8 +131,8 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     unique because alpha(t)^2 - r is a quadratic positive at 0 and negative
     at 1.  For d > 1, a 33-point scan counts the sign changes and takes the
     one nearest the MPLE, then Brent's method refines it; both evaluate
-    alpha*^2 on the raw arrays of the segment, and a parameter object is
-    built only at the root.
+    alpha*^2 (the MPLE objective's ``_alpha_star_sq``) on the raw arrays of
+    the segment, and a parameter object is built only at the root.
 
     A diverged MLE leaves the estimator undefined; passing
     ``allow_boundary_mle=True`` instead uses the threshold-clamped fit
@@ -163,7 +156,9 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     _check_compatible(theta_hat, theta_tilde)
 
     def g(t: float) -> float:
-        return 2.0 * (q_value(coeffs, _segment_alpha_star_sq(theta_hat, theta_tilde, t)) - q_y)
+        alpha = (1 - t) * theta_hat.alpha + t * theta_tilde.alpha
+        omega_mat = (1 - t) * theta_hat.omega_mat + t * theta_tilde.omega_mat
+        return 2.0 * (q_value(coeffs, _alpha_star_sq(omega_mat[None], alpha[None])[0]) - q_y)
 
     g0, g1 = g(0.0), g(1.0)
     tie = 2.0 * _TIE_RTOL * max(1.0, abs(mle.loglik_at_opt))
@@ -200,6 +195,7 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
         t_root, multiplicity = _scan_crossing(g)
     theta_bar = interpolate_params(theta_hat, theta_tilde, t_root)
     ll = loglik(theta_bar, data, spec)
+    a2 = _alpha_star_sq(theta_bar.omega_mat[None], theta_bar.alpha[None])[0]
     diag = WbarDiagnostics(
         q_of_y=q_y,
         r_of_y=r_y,
@@ -209,7 +205,7 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
         used_boundary_mle=bool(mle.diverged),
     )
     return FitResult(method="WBAR", estimates=theta_bar, loglik_at_opt=ll,
-                     penalized_loglik_at_opt=ll - q_value(coeffs, alpha_star(theta_bar) ** 2),
+                     penalized_loglik_at_opt=ll - q_value(coeffs, a2),
                      converged=True, iterations=0, evaluations=1, penalty=coeffs,
                      diagnostics=diag)
 

@@ -59,7 +59,9 @@ class TestFitCommand:
         (["--fix", "xi=nan"], "pinned xi must be finite, got nan"),
         # it would bypass the shape-only model and its exact one-sign test
         (["--fix", "xi=0", "--fix", "omega_mat=1"], "pin 'omega' rather than 'omega_mat' for d = 1"),
-    ], ids=["omega=0", "nu=inf", "xi=nan", "omega_mat=1"])
+        # the fit failed with "Input must be 1- or 2-d."
+        (["--dim", "2", "--fix", "omega_mat=1"], "pinned omega_mat must be a 2 x 2 matrix, got shape ()"),
+    ], ids=["omega=0", "nu=inf", "xi=nan", "omega_mat=1", "omega_mat=1-d2"])
     def test_bad_pinned_value_exit_one(self, extra, message, tmp_path, capsys):
         csv = write_csv(tmp_path / "y.csv", sn_sample(3.0, 30, 5).column(0))
         code = main(["fit", csv, "--estimator", "mple", *extra, "--out", os.devnull])

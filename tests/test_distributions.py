@@ -282,6 +282,15 @@ class TestScalarSummaries:
     def test_alpha_star_scalar(self):
         assert alpha_star(DirectParams.scalar(3.0, 2.0, -4.0)) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("v", [1e-3, 0.3, 1.0, 1.7, 2.0, 3.0, 1e4])
+    def test_alpha_star_is_abs_alpha_at_d1(self, v):
+        # alpha*^2 is a * a at d = 1, and sqrt(a * a) is |a| bit for bit, also
+        # when Omega = v is not the square of a double, as a fitted omega^2 is not
+        for a in (-1e6, -123.456, -2.2, -0.1, 0.0, 1e-8, 0.7, 3.0, 5.123456789, 99.9, 1e5):
+            for p in (DirectParams(xi=[0.4], omega_mat=[[v]], alpha=[a]),
+                      DirectParams.scalar(0.4, v, a)):
+                assert alpha_star(p) == abs(a)
+
     def test_delta(self):
         assert delta_of_alpha(0.0) == 0.0
         assert delta_of_alpha(1.0) == pytest.approx(1 / np.sqrt(2))

@@ -94,6 +94,33 @@ class TestFitMle:
         assert abs(float(fit.estimates.alpha[0])) == 100.0
         assert np.isfinite(fit.loglik_at_opt)
 
+    @pytest.mark.parametrize("xi, omega_mat", [
+        ([0.0, 0.0], np.eye(2)),
+        ([1.0, -1.0], np.array([[4.0, 1.0], [1.0, 1.0]])),
+    ], ids=["identity", "correlated"])
+    def test_d2_shape_only_separated_sample_diverges(self, xi, omega_mat):
+        # the search stopped at alpha = (7.9, 15.3) with diverged=False and stop
+        # "gtol"; every standardized row has positive entries, so l rises along (1, 1)
+        z = np.abs(np.random.default_rng(5).normal(size=(30, 2)))
+        data = Dataset(xi + z * np.sqrt(np.diag(omega_mat)))
+        spec = ModelSpec(dimension=2, fixed={"xi": xi, "omega_mat": omega_mat})
+        fit = fit_mle(data, spec)
+        assert (fit.diverged, fit.converged, fit.stop_reason) == (True, True, "separated")
+        assert fit.estimates.alpha.tolist() == [100.0, 100.0]
+        assert fit.loglik_at_opt == loglik(fit.estimates, data, spec)
+        ray = [loglik(DirectParams(xi=xi, omega_mat=omega_mat, alpha=[t, t]), data, spec)
+               for t in (0.5, 1.0, 2.0, 4.0)]
+        assert np.all(np.diff(ray + [fit.loglik_at_opt]) > 0)
+
+    def test_d2_shape_only_overlapping_sample_keeps_its_search(self):
+        data = Dataset(np.random.default_rng(5).normal(size=(30, 2)))
+        spec = ModelSpec(dimension=2, fixed={"xi": 0.0, "omega_mat": np.eye(2)})
+        fit = fit_mle(data, spec)
+        searched = estimators._fit_bfgs(data, spec, _FreeMap(spec), None, 100.0)
+        assert not fit.diverged and fit.stop_reason == "gtol"
+        assert np.array_equal(fit.estimates.alpha, searched.estimates.alpha)
+        assert fit.loglik_at_opt == searched.loglik_at_opt
+
     def test_rejects_degenerate_data(self):
         with pytest.raises(ValueError):
             fit_mle(Dataset(np.ones(10)), THREE_PARAM)
@@ -139,6 +166,15 @@ class TestFitMple:
         fit = fit_mple(data, THREE_PARAM)
         recomputed = penalized_loglik(fit.estimates, data, THREE_PARAM)
         assert fit.penalized_loglik_at_opt == pytest.approx(recomputed, abs=1e-9)
+
+    # the d = 2 skew-normal is left out: its objective keeps its own order of
+    # summation of the log densities, so its l_p at the optimum is not loglik's
+    @pytest.mark.parametrize("name", ["1p", "3p", "st_pin", "st_free", "d2_st"])
+    def test_penalized_loglik_is_the_objective_at_the_optimum(self, name):
+        truth, spec = FREE_MAP_CLASSES[name]
+        data = sample(truth, 150, seeded(9, len(name)))
+        fit = fit_mple(data, spec)
+        assert penalized_loglik(fit.estimates, data, spec) == fit.penalized_loglik_at_opt
 
     def test_first_order_conditions(self):
         data = sn_sample(4.0, 150, seed=seeded(9, 0))
@@ -743,9 +779,13 @@ class TestStopReason:
 
     def test_a_search_stopped_at_the_threshold_says_so(self):
         # d = 2 with xi and Omega pinned: no re-fit follows the clamp, so the
-        # stopped search is the one behind the estimate
+        # stopped search is the one behind the estimate.  One row in the
+        # negative quadrant keeps the sample from being separated (fit_mle
+        # reports a separated one without a search); its MLE is about (2.4, 6.9)
         spec = ModelSpec(dimension=2, fixed={"xi": [0.0, 0.0], "omega_mat": np.eye(2)})
-        data = Dataset(np.abs(np.random.default_rng(5).normal(size=(30, 2))))
+        rows = np.abs(np.random.default_rng(5).normal(size=(30, 2)))
+        rows[0] = -0.02
+        data = Dataset(rows)
         fit = fit_mle(data, spec, divergence_threshold=5.0)
         assert fit.diverged and fit.converged and fit.stop_reason == "threshold"
         assert len(fit.optimizer_trace) == 1 and np.max(np.abs(fit.estimates.alpha)) == 5.0
@@ -995,8 +1035,13 @@ def per_point_stderr(fit, data, spec):
 
     def pll(xd):
         params = fmap.direct_unpack(xd)
-        a_star = float(np.sqrt(params.alpha @ params.omega_bar @ params.alpha))
-        return loglik(params, data, spec) - q_value(coeffs, a_star ** 2)
+        alpha, omega_mat = params.alpha, params.omega_mat
+        if params.d == 1:  # alpha*^2 as point_objective forms it
+            a2 = alpha[0] * alpha[0]
+        else:
+            w = alpha / np.sqrt(np.diag(omega_mat))
+            a2 = float(w @ omega_mat @ w)
+        return loglik(params, data, spec) - q_value(coeffs, a2)
 
     x0 = fmap.direct_pack(fit.estimates)
     k = len(x0)

@@ -350,22 +350,40 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(family="sn", fixed={"nu": 4.0})
 
-    @pytest.mark.parametrize("family, fixed, message", [
-        ("sn", {"xi": np.nan}, "pinned xi must be finite, got nan"),
-        ("sn", {"xi": np.inf, "omega": 1.0}, "pinned xi must be finite, got inf"),
-        ("sn", {"omega": np.nan}, "pinned omega must be finite, got nan"),
-        ("sn", {"alpha": -np.inf}, "pinned alpha must be finite, got -inf"),
-        ("st", {"nu": np.inf}, "pinned nu must be finite, got inf"),
-        ("sn", {"xi": 0.0, "omega": 0.0}, "pinned omega must be positive, got 0.0"),
-        ("sn", {"omega": -1.0}, "pinned omega must be positive, got -1.0"),
-        ("st", {"nu": 0.0}, "pinned nu must be positive, got 0.0"),
+    @pytest.mark.parametrize("family, dimension, fixed, message", [
+        ("sn", 1, {"xi": np.nan}, "pinned xi must be finite, got nan"),
+        ("sn", 1, {"xi": np.inf, "omega": 1.0}, "pinned xi must be finite, got inf"),
+        ("sn", 1, {"omega": np.nan}, "pinned omega must be finite, got nan"),
+        ("sn", 1, {"alpha": -np.inf}, "pinned alpha must be finite, got -inf"),
+        ("st", 1, {"nu": np.inf}, "pinned nu must be finite, got inf"),
+        ("sn", 1, {"xi": 0.0, "omega": 0.0}, "pinned omega must be positive, got 0.0"),
+        ("sn", 1, {"omega": -1.0}, "pinned omega must be positive, got -1.0"),
+        ("st", 1, {"nu": 0.0}, "pinned nu must be positive, got 0.0"),
         # it would bypass the shape-only model and its exact one-sign test
-        ("sn", {"xi": 0.0, "omega_mat": [[1.0]]}, "pin 'omega' rather than 'omega_mat' for d = 1"),
+        ("sn", 1, {"xi": 0.0, "omega_mat": [[1.0]]},
+         "pin 'omega' rather than 'omega_mat' for d = 1"),
+        # each of these failed only inside the fit, with a numpy error
+        ("sn", 2, {"omega_mat": 1.0}, r"pinned omega_mat must be a 2 x 2 matrix, got shape \(\)"),
+        ("sn", 2, {"omega_mat": np.eye(3)},
+         r"pinned omega_mat must be a 2 x 2 matrix, got shape \(3, 3\)"),
+        ("sn", 2, {"xi": [0.0, 0.0, 0.0]},
+         r"pinned xi must be a scalar or of length 2, got shape \(3,\)"),
+        ("sn", 2, {"alpha": [1.0, 2.0, 3.0]},
+         r"pinned alpha must be a scalar or of length 2, got shape \(3,\)"),
+        ("sn", 1, {"omega": [1.0, 2.0]}, r"pinned omega must be a scalar, got shape \(2,\)"),
+        ("st", 2, {"nu": [4.0, 5.0]}, r"pinned nu must be a scalar, got shape \(2,\)"),
     ], ids=["xi=nan", "xi=inf", "omega=nan", "alpha=-inf", "nu=inf", "omega=0", "omega=-1",
-            "nu=0", "omega_mat-d1"])
-    def test_rejects_a_bad_pinned_value(self, family, fixed, message):
+            "nu=0", "omega_mat-d1", "omega_mat-scalar-d2", "omega_mat-3x3-d2", "xi-length3-d2",
+            "alpha-length3-d2", "omega-vector", "nu-vector"])
+    def test_rejects_a_bad_pinned_value(self, family, dimension, fixed, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            ModelSpec(family=family, fixed=fixed)
+            ModelSpec(family=family, dimension=dimension, fixed=fixed)
+
+    def test_accepts_pinned_components_of_the_model_shape(self):
+        spec = ModelSpec(dimension=2, fixed={"xi": 0.0, "alpha": [1.0, -1.0],
+                                             "omega_mat": [[1.0, 0.5], [0.5, 1.0]]})
+        assert set(spec.fixed) == {"xi", "alpha", "omega_mat"}
+        assert ModelSpec(family="st", fixed={"xi": [0.0], "omega": 1.0, "nu": 4}).is_one_param
 
     def test_rejects_a_non_finite_pinned_matrix_entry(self):
         omega_mat = np.array([[1.0, np.nan], [np.nan, 1.0]])
