@@ -97,6 +97,10 @@ def _cmd_fit(args) -> int:
             print(f"warning: {name} nu = {fit.estimates.nu:.6g} is at an edge of its search "
                   "range [0.1, 1e6]; the likelihood cannot tell it from the edge",
                   file=sys.stderr)
+        if fit.rising_ray is not None:
+            print(f"warning: {name} log-likelihood rises along alpha = t * "
+                  f"{fit.rising_ray.tolist()} as t grows; the estimate may stop short of a "
+                  "supremum at infinity", file=sys.stderr)
     report = {
         "schema": FIT_SCHEMA,
         "version": __version__,

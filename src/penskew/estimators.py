@@ -6,9 +6,11 @@ Optimization runs in transformed coordinates (log scale, log nu, raw
 shape) from a method-of-moments start: one quasi-Newton search whose
 value and central-difference gradient come from one evaluation of the
 point and its 2k neighbours as a single stack.  It runs scipy's BFGS
-iteration and Wolfe line search (the private ``_line_search_wolfe12``)
-directly, with the iterates of ``optimize.minimize``; its status says
-whether the fit converged, and ``FitResult.stop_reason`` why it stopped.
+iteration directly, with the iterates of ``optimize.minimize``: each
+step tests the Wolfe search's first trial itself and calls scipy's search
+(the private ``_line_search_wolfe12``) only when that trial fails.  Its
+status says whether the fit converged, and ``FitResult.stop_reason`` why
+it stopped.
 The stack, for any d, shares one pass of the stacked log-likelihood
 that ``loglik`` also uses, with a skew-t nu that differs between rows as
 a column: over an (m x n) array for d = 1, through one stacked Cholesky
@@ -92,7 +94,10 @@ class FitResult:
     "line-search", "non-finite" or "threshold" for BFGS; "root", "one-sign",
     "zero-score" or "no-sign-change" for the shape-only bracket search;
     "separated" for a d > 1 shape-only skew-normal MLE whose sample is
-    separated (:func:`fit_mle`).
+    separated (:func:`fit_mle`).  ``rising_ray`` is set on a shape-only
+    skew-t MLE whose sample is separated: a direction, scaled to largest
+    |entry| 1, along which the log-likelihood rises; it does not set
+    ``diverged`` (:func:`fit_mle`).
     """
 
     method: str
@@ -110,6 +115,7 @@ class FitResult:
     diagnostics: object = None
     nu_at_bound: bool = False
     stop_reason: str | None = None
+    rising_ray: np.ndarray | None = None
 
     def __post_init__(self):
         if self.diverged and self.method != "MLE":
@@ -136,6 +142,7 @@ class FitResult:
                                 else [list(stage) for stage in self.optimizer_trace]),
             "nu_at_bound": self.nu_at_bound,
             "stop_reason": self.stop_reason,
+            "rising_ray": None if self.rising_ray is None else self.rising_ray.tolist(),
         }
         if est.d == 1:
             out["estimates"]["omega"] = est.omega
@@ -291,8 +298,9 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
     """Build the objective over stacks of free optimizer vectors.
 
     The objective maps X (m x p, one free vector per row) to the m values
-    of minus the (penalized) log-likelihood.  ``penalty`` maps
-    (alpha_star_sq, nu) to the penalty value, or None for the plain
+    of minus the (penalized) log-likelihood.  ``penalty`` maps the valid
+    rows' alpha*^2 and nu (two lists) to their penalty values, one call
+    per stack (:func:`_stack_penalty`), or is None for the plain
     likelihood.  Every d takes one path: the stack decodes through
     :meth:`_FreeMap.stack`, invalid rows get a large value, and the valid
     rows share one :func:`_stack_loglik` pass (the d > 1 skew-normal sums
@@ -348,9 +356,9 @@ def _neg_loglik_factory(data: Dataset, spec: ModelSpec, fmap: _FreeMap,
                 if math.isfinite(value):
                     out[i] = -value
         else:
-            for i, value, a2, v in zip(index, ll, _alpha_star_sq(omega_mat, alpha), nu):
+            for i, value, q in zip(index, ll, penalty(_alpha_star_sq(omega_mat, alpha), nu)):
                 if math.isfinite(value):
-                    out[i] = -(value - penalty(a2, v))
+                    out[i] = -(value - q)
         return out
 
     return objective
@@ -380,8 +388,12 @@ def _bfgs(objective, x0, stop=None, gtol=_GTOL) -> optimize.OptimizeResult:
     h = 1e-6 max(1, |x_i|).  The loop is scipy's ``_minimize_bfgs`` at
     ``gtol`` and maxiter = _MAXITER, with the iterates, batches and
     status of ``minimize(method="BFGS", jac=True)`` but not its wrappers.
-    A search also ends, with status 4, at the first accepted iterate x
-    for which ``stop(x)`` is true.
+    Each step tests the first trial step of scipy's Wolfe search itself
+    and calls ``_line_search_wolfe12`` only when that trial fails (on
+    table1_3p, about one step in four), so a step whose trial holds costs
+    one batch and no line-search machinery.  A search also ends, with
+    status 4, at the first accepted iterate x for which ``stop(x)`` is
+    true.
     """
     k = len(x0)
     # the rows x, x + h_i e_i and x - h_i e_i are x - steps * h; the
@@ -392,7 +404,7 @@ def _bfgs(objective, x0, stop=None, gtol=_GTOL) -> optimize.OptimizeResult:
     last = [None]  # x, value and gradient of the latest batch, as MemoizeJac keeps them
 
     def batch(x):
-        if last[0] is None or not np.all(x == last[0]):
+        if last[0] is None or not (x == last[0]).all():
             h = _GRAD_STEP * np.maximum(1.0, np.abs(x))
             f = objective(x - steps * h)
             last[:] = x.copy(), f[0], (f[1:k + 1] - f[k + 1:]) / (2.0 * h)
@@ -403,26 +415,40 @@ def _bfgs(objective, x0, stop=None, gtol=_GTOL) -> optimize.OptimizeResult:
     _, fx, g = batch(x)
     hess_inv = eye = np.eye(k, dtype=int)
     fx_before = fx + np.linalg.norm(g) / 2  # a first step of length about 1
-    nit, status, gnorm = 0, 0, np.amax(np.abs(g))
+    nit, status, gnorm = 0, 0, abs(g).max()
     while gnorm > gtol and nit < _MAXITER:
         p = -np.dot(hess_inv, g)
-        try:
-            step, _, _, fx, fx_before, g_new = _line_search_wolfe12(
-                value, grad, x, p, g, fx, fx_before, amin=1e-100, amax=1e100, c1=1e-4, c2=0.9)
-        except _LineSearchError:
-            status = 2
-            break
+        # the search's first trial step and its strong Wolfe test (MINPACK
+        # dcsrch from START), in scipy's arithmetic; any other case, the
+        # trial's failure included, goes to scipy, whose first evaluation
+        # is then this batch again
+        slope, step = np.dot(g, p), None
+        if slope < 0:
+            trial = min(1.0, 1.01 * 2 * (fx - fx_before) / slope)
+            trial = 1.0 if trial < 0 else trial
+            if 1e-100 < trial < 1e100:
+                _, f_new, g_new = batch(x + trial * p)
+                if f_new <= fx + trial * (1e-4 * slope) and abs(np.dot(g_new, p)) <= 0.9 * -slope:
+                    step, fx_before, fx = trial, fx, f_new
+        if step is None:
+            try:
+                step, _, _, fx, fx_before, g_new = _line_search_wolfe12(
+                    value, grad, x, p, g, fx, fx_before, amin=1e-100, amax=1e100, c1=1e-4,
+                    c2=0.9)
+            except _LineSearchError:
+                status = 2
+                break
         s = step * p
         x = x + s
         g_new = grad(x) if g_new is None else g_new
         y, g = g_new - g, g_new
-        nit, gnorm = nit + 1, np.amax(np.abs(g))
+        nit, gnorm = nit + 1, abs(g).max()
         if stop is not None and stop(x):
             status = 4
             break
-        if gnorm <= gtol or step * np.sum(p * p) ** 0.5 <= 0.0:  # scipy's xrtol = 0 test
+        if gnorm <= gtol or step * (p * p).sum() ** 0.5 <= 0.0:  # scipy's xrtol = 0 test
             break
-        if not np.isfinite(fx):
+        if not math.isfinite(fx):
             status = 2
             break
         rho_inv = np.dot(y, s)
@@ -740,25 +766,32 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     other free parameters are re-maximized there to a gradient tolerance
     of 1e-7.  That re-fit then sets ``converged`` and ``stop_reason``.
 
-    The d > 1 shape-only skew-normal (xi and Omega pinned) first runs the
-    exact test for a supremum at infinity (:func:`_separating_direction`);
-    a sample it flags is reported clamped at the threshold along the
-    separating direction, with no search and ``stop_reason`` "separated".
+    The other shape-only models (xi and Omega pinned) first look for a
+    direction that separates the standardized sample
+    (:func:`_separating_direction`).  For the skew-normal that is the
+    exact test for a supremum at infinity: a sample it flags is reported
+    clamped at the threshold along the direction, with no search and
+    ``stop_reason`` "separated".  For the skew-t the search runs as
+    usual, and the direction, along which the log-likelihood rises, is
+    reported as ``rising_ray`` without ``diverged``: log T is not
+    concave, so the rise does not show that no finite maximum exists.
     """
     thr = _check_divergence_threshold(divergence_threshold)
     fmap = _FreeMap(spec)
     _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MLE", (thr,))
-    if spec.family == "sn" and fmap.free_alpha and not (fmap.free_xi or fmap.free_scale):
-        # the d > 1 shape-only skew-normal: separation is its exact divergence test
+    ray = None
+    if fmap.free_alpha and not (fmap.free_xi or fmap.free_scale):
         xi, omega_mat = fmap._fixed("xi"), fmap._fixed_omega_mat()
-        a = _separating_direction((data.rows - xi) / np.sqrt(np.diag(omega_mat)))
-        if a is not None:
-            est = DirectParams(xi=xi, omega_mat=omega_mat, alpha=a * (thr / np.max(np.abs(a))))
+        ray = _separating_direction((data.rows - xi) / np.sqrt(np.diag(omega_mat)))
+        if ray is not None and spec.family == "sn":
+            est = DirectParams(xi=xi, omega_mat=omega_mat, alpha=ray * (thr / abs(ray).max()))
             return FitResult(method="MLE", estimates=est, loglik_at_opt=loglik(est, data, spec),
                              diverged=True, stop_reason="separated")
-    return _fit_bfgs(data, spec, fmap, None, thr)
+    fit = _fit_bfgs(data, spec, fmap, None, thr)
+    fit.rising_ray = None if ray is None else ray / abs(ray).max()
+    return fit
 
 
 def _separating_direction(z: np.ndarray) -> np.ndarray | None:
@@ -794,7 +827,7 @@ def _fit_bfgs(data: Dataset, spec: ModelSpec, fmap: _FreeMap, penalty: Callable 
     log = _SearchLog()
     stop = None
     if penalty is None and fmap.free_alpha:
-        stop = lambda x: np.max(np.abs(x[fmap._alpha])) > thr
+        stop = lambda x: abs(x[fmap._alpha]).max() > thr
     res = log.minimize(objective, fmap.pack(_mom_start(data, spec, fmap)), stop)
     params, ll, diverged = fmap.unpack(res.x), -float(res.fun), False
     if fmap.free_alpha and np.max(np.abs(params.alpha)) > thr:
@@ -834,13 +867,30 @@ def fit_mple(data: Dataset, spec: ModelSpec) -> FitResult:
     _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MPLE", _doublings(_MPLE_FIRST_END))
+    return _fit_bfgs(data, spec, fmap, _stack_penalty(spec))
+
+
+def _stack_penalty(spec: ModelSpec) -> Callable:
+    """The MPLE objective's penalty: the lists alpha*^2 and nu of a stack's rows
+    to their values c1 log(1 + c2 alpha*^2), each bit-equal to :func:`q_value`'s.
+
+    The coefficients are the model's (:func:`resolve_penalty`): constant
+    for the skew-normal and a pinned nu, re-resolved at each row's nu
+    when nu is free.
+    """
     if spec.family == "st" and "nu" not in spec.fixed:
-        # free nu: the coefficients move with each candidate nu
-        penalty_fn = lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
+        def coefficients(nu):
+            coeffs = [resolve_penalty(spec, v) for v in nu]
+            return np.array([c.c1 for c in coeffs]), np.array([c.c2 for c in coeffs])
     else:
         coeffs = resolve_penalty(spec)
-        penalty_fn = lambda a2, nu: q_value(coeffs, a2)
-    return _fit_bfgs(data, spec, fmap, penalty_fn)
+        coefficients = lambda nu: (coeffs.c1, coeffs.c2)
+
+    def penalty(a2, nu):
+        c1, c2 = coefficients(nu)
+        return (c1 * np.log1p(c2 * np.array(a2))).tolist()
+
+    return penalty
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from scipy import linalg, optimize, special
+from scipy.optimize._optimize import _line_search_wolfe12
 
 from penskew.distributions import Dataset, DirectParams, _st_log_terms, sample, st_logpdf
 from penskew import estimators
@@ -120,6 +121,36 @@ class TestFitMle:
         assert not fit.diverged and fit.stop_reason == "gtol"
         assert np.array_equal(fit.estimates.alpha, searched.estimates.alpha)
         assert fit.loglik_at_opt == searched.loglik_at_opt
+
+    def test_d2_shape_only_skew_t_reports_the_rising_ray(self):
+        # the search ends at alpha = (15.4, 38.5) with stop "gtol" (numpy 2.4, scipy
+        # 1.17), while l keeps rising along (1, 1); log T is not concave, so the
+        # ray is reported without a divergence flag
+        spec = ModelSpec(family="st", dimension=2,
+                         fixed={"xi": 0.0, "omega_mat": np.eye(2), "nu": 4.0})
+        z = np.random.default_rng(5).normal(size=(30, 2))
+        data = Dataset(np.abs(z))
+        fit = fit_mle(data, spec)
+        searched = estimators._fit_bfgs(data, spec, _FreeMap(spec), None, 100.0)
+        assert (fit.diverged, fit.converged) == (False, True)
+        assert np.array_equal(fit.estimates.alpha, searched.estimates.alpha)
+        assert fit.rising_ray.tolist() == fit.to_json_dict()["rising_ray"] == [1.0, 1.0]
+        along = [loglik(DirectParams(xi=[0.0, 0.0], omega_mat=np.eye(2), alpha=[t, t], nu=4.0),
+                        data, spec) for t in (1.0, 10.0, 100.0, 1000.0)]
+        assert np.all(np.diff(along) > 0) and along[-1] > fit.loglik_at_opt
+        assert fit_mle(Dataset(z), spec).rising_ray is None  # overlapping: no ray
+
+    def test_cli_fit_warns_of_a_rising_ray(self, tmp_path, capsys):
+        # the shape-only skew-t with nu free: a one-sign sample separates at d = 1
+        from penskew.cli import main
+        csv = tmp_path / "y.csv"
+        Dataset(np.abs(np.random.default_rng(5).normal(size=30))).to_csv(csv)
+        out = tmp_path / "f.json"
+        assert main(["fit", str(csv), "--family", "st", "--fix", "xi=0", "--fix", "omega=1",
+                     "--estimator", "mle", "--out", str(out)]) == 0
+        assert "warning: mle log-likelihood rises along alpha = t * [1.0]" in capsys.readouterr().err
+        mle = json.loads(out.read_text())["fits"]["mle"]
+        assert mle["rising_ray"] == [1.0] and mle["diverged"] is False
 
     def test_rejects_degenerate_data(self):
         with pytest.raises(ValueError):
@@ -971,7 +1002,7 @@ def point_objective(data, spec, fmap, penalty):
         if not np.isfinite(ll):
             return _BIG
         if penalty is not None:
-            ll -= penalty(a2, nu)
+            ll -= penalty([a2], [nu])[0]
         return -ll
 
     return objective
@@ -1059,10 +1090,8 @@ def per_point_stderr(fit, data, spec):
 
 
 def model_penalty(spec):
-    if spec.family == "st" and "nu" not in spec.fixed:
-        return lambda a2, nu: q_value(resolve_penalty(spec, nu), a2)
-    coeffs = resolve_penalty(spec)
-    return lambda a2, nu: q_value(coeffs, a2)
+    """The objective's penalty of a stack (lists of alpha*^2 and nu), row by row by q_value."""
+    return lambda a2, nu: [q_value(resolve_penalty(spec, v), a) for a, v in zip(a2, nu)]
 
 
 BATCH_TRUTH_ST1 = DirectParams.scalar(0.3, 1.4, 3.0, nu=4.0)
@@ -1169,6 +1198,28 @@ def test_batch_objective_equals_per_point_objective(name, penalized):
             np.linalg.cholesky(omega_mat)
 
 
+@pytest.mark.parametrize("name", ["3p", "st_pin", "st_free", "d2_st_free"])
+def test_penalized_objective_equals_penalized_loglik_per_row(name):
+    """The MPLE's objective prices the penalty once per stack: on a stack that mixes
+    valid and invalid rows, each valid row is minus penalized_loglik at its point,
+    bit for bit, and each invalid one the large value.  (The d > 1 skew-normal
+    objective sums its terms in an order of its own, so it is left out.)"""
+    truth, spec = BATCH_CLASSES[name]
+    fmap = _FreeMap(spec)
+    data = sample(truth, 120, seeded(19, len(name)))
+    x = fmap.pack(truth)
+    rng = np.random.default_rng(seeded(19, len(name)))
+    rows = ([(row, True) for row in batch_rows(name, x, rng)[:8]]
+            + [(row, False) for row in invalid_rows(fmap, x).values()])
+    order = rng.permutation(len(rows))  # valid and invalid rows mixed
+    X = np.array([rows[i][0] for i in order])
+    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite rows overflow
+        values = _neg_loglik_factory(data, spec, fmap, estimators._stack_penalty(spec))(X)
+    for i, value in zip(order, values):
+        row, ok = rows[i]
+        assert value == (-penalized_loglik(fmap.unpack(row), data, spec) if ok else _BIG)
+
+
 @pytest.mark.parametrize("name", ["st_pin", "st_free", "d2_st_pin", "d2_st_free"])
 def test_skew_t_objective_is_finite_where_the_residual_square_overflows(name):
     truth, spec = BATCH_CLASSES[name]
@@ -1242,7 +1293,8 @@ BFGS_EXITS = {
 def test_bfgs_loop_reproduces_scipy_minimize(name, monkeypatch):
     """Each exit of the BFGS loop against scipy's minimize on the same batches:
     the same iterate, value, iteration count and status, and the same stacks
-    handed to the objective in the same order."""
+    handed to the objective in the same order, both for the steps whose first
+    trial the loop accepts itself and for those it hands to scipy's search."""
     truth, spec, n, seed, penalized, maxiter, status, reason = BFGS_EXITS[name]
     monkeypatch.setattr(estimators, "_MAXITER", maxiter)
     data = sample(truth, n, seed)
@@ -1251,6 +1303,14 @@ def test_bfgs_loop_reproduces_scipy_minimize(name, monkeypatch):
     x0 = fmap.pack(estimators._mom_start(data, spec, fmap))
     k = len(x0)
     stacks = {"loop": [], "minimize": []}
+
+    searches = []  # the steps the loop hands to scipy's line search
+
+    def counted_search(*args, **kwargs):
+        searches.append(None)
+        return _line_search_wolfe12(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_line_search_wolfe12", counted_search)
 
     def recorded(key):
         return lambda X: stacks[key].append(X) or objective(X)
@@ -1267,6 +1327,9 @@ def test_bfgs_loop_reproduces_scipy_minimize(name, monkeypatch):
     assert np.array_equal(res.x, ref.x) and res.fun == ref.fun and res.nit == ref.nit
     assert len(stacks["loop"]) == len(stacks["minimize"])
     assert all(np.array_equal(a, b) for a, b in zip(stacks["loop"], stacks["minimize"]))
+    if name == "gtol":
+        # the loop settles most steps on their first trial and hands the rest to scipy
+        assert 0 < len(searches) < res.nit
     fit = (fit_mple if penalized else fit_mle)(data, spec)
     assert (fit.stop_reason, fit.converged) == (reason, status != 1)
 
