@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,13 +40,23 @@ _LOG2 = np.log(2.0)
 _LOG2PI = np.log(2.0 * np.pi)
 
 
+def _read_only(value, ndmin: int) -> np.ndarray:
+    """A float copy of ``value`` with at least ``ndmin`` dimensions, marked read-only."""
+    arr = np.array(value, dtype=float, ndmin=ndmin)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class DirectParams:
     """Parameter vector (xi, Omega, alpha[, nu]) of a skew-normal / skew-t model.
 
     xi and alpha are length-d vectors, omega_mat is the d x d symmetric
     positive-definite scale matrix (omega^2 in the 1x1 scalar case), and
-    nu, when present, selects the skew-t family.
+    nu, when present, selects the skew-t family.  The three arrays are
+    read-only float copies of the arguments, so what is derived from them
+    once (:func:`sample`'s factors) stays valid; a pickled copy is rebuilt
+    through the constructor.
     """
 
     xi: np.ndarray
@@ -53,9 +65,8 @@ class DirectParams:
     nu: float | None = None
 
     def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        omega_mat = np.atleast_2d(np.asarray(self.omega_mat, dtype=float))
+        xi, alpha = _read_only(self.xi, 1), _read_only(self.alpha, 1)
+        omega_mat = _read_only(self.omega_mat, 2)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "omega_mat", omega_mat)
@@ -65,14 +76,18 @@ class DirectParams:
                 f"inconsistent dimensions: xi {xi.shape}, alpha {alpha.shape}, "
                 f"omega_mat {omega_mat.shape}"
             )
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(alpha))
-                and np.all(np.isfinite(omega_mat))):
-            raise ValueError("parameters must be finite")
         if d == 1:
-            # a finite 1x1 matrix is symmetric, and positive definite iff its entry is > 0
-            if not omega_mat[0, 0] > 0:
+            # scalar tests; a finite 1x1 matrix is symmetric, and positive
+            # definite iff its entry is > 0
+            w = omega_mat[0, 0]
+            if not (math.isfinite(xi[0]) and math.isfinite(alpha[0]) and math.isfinite(w)):
+                raise ValueError("parameters must be finite")
+            if not w > 0:
                 raise ValueError("omega_mat must be positive definite")
         else:
+            if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(alpha))
+                    and np.all(np.isfinite(omega_mat))):
+                raise ValueError("parameters must be finite")
             if not np.allclose(omega_mat, omega_mat.T, rtol=0,
                                atol=1e-8 * max(1.0, float(np.abs(omega_mat).max()))):
                 raise ValueError("omega_mat must be symmetric")
@@ -82,9 +97,13 @@ class DirectParams:
                 raise ValueError("omega_mat must be positive definite") from exc
         if self.nu is not None:
             nu = float(self.nu)
-            if not np.isfinite(nu) or nu <= 0:
+            if not math.isfinite(nu) or nu <= 0:
                 raise ValueError(f"nu must be positive, got {self.nu!r}")
             object.__setattr__(self, "nu", nu)
+
+    def __reduce__(self):
+        # unpickled arrays would come back writable; the constructor makes them read-only
+        return type(self), (self.xi, self.omega_mat, self.alpha, self.nu)
 
     @classmethod
     def scalar(cls, xi: float, omega: float, alpha: float, nu: float | None = None) -> "DirectParams":
@@ -119,6 +138,21 @@ class DirectParams:
         """Correlation matrix omega^-1 Omega omega^-1."""
         s = self.omega_diag
         return self.omega_mat / np.outer(s, s)
+
+    @cached_property
+    def _draw_factors(self) -> tuple:
+        """:func:`sample`'s delta, transposed residual Cholesky factor and marginal
+        omegas, derived on the first draw and kept: the arrays they come from are
+        read-only."""
+        omega_bar = self.omega_bar
+        a_star_sq = float(self.alpha @ omega_bar @ self.alpha)
+        delta = (omega_bar @ self.alpha) / np.sqrt(1.0 + a_star_sq)
+        resid_cov = omega_bar - np.outer(delta, delta)
+        try:
+            chol = np.linalg.cholesky(resid_cov)
+        except np.linalg.LinAlgError:
+            chol = np.linalg.cholesky(resid_cov + 1e-12 * np.eye(self.d))
+        return delta, chol.T, self.omega_diag
 
 
 @dataclass(frozen=True)
@@ -349,36 +383,25 @@ def _st_log_terms(log1p_q, logdet, arg, d, nu):
     return _LOG2 + log_td + t_logcdf(arg, nu + d)
 
 
-def _delta_vector(params: DirectParams) -> np.ndarray:
-    omega_bar = params.omega_bar
-    a_star_sq = float(params.alpha @ omega_bar @ params.alpha)
-    return (omega_bar @ params.alpha) / np.sqrt(1.0 + a_star_sq)
-
-
 def sample(params: DirectParams, n: int, seed) -> Dataset:
     """Draw n i.i.d. observations, deterministically for a given seed.
 
     Uses the convolution representation Z = delta |U0| + sqrt-factor U1
     of the skew-normal; skew-t draws divide the centered part by
     sqrt(V/nu) with V chi-square on nu degrees of freedom.
-    ``seed`` may be an int, a SeedSequence, or a Generator.
+    ``seed`` may be an int, a SeedSequence, or a Generator.  The factors
+    that depend on ``params`` alone are derived on its first draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = params.d
-    delta = _delta_vector(params)
-    resid_cov = params.omega_bar - np.outer(delta, delta)
-    try:
-        chol = np.linalg.cholesky(resid_cov)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(resid_cov + 1e-12 * np.eye(d))
+    delta, chol_t, omega_diag = params._draw_factors
     u0 = np.abs(rng.standard_normal(n))
-    z = u0[:, None] * delta + rng.standard_normal((n, d)) @ chol.T
+    z = u0[:, None] * delta + rng.standard_normal((n, params.d)) @ chol_t
     if params.is_skew_t:
         v = rng.chisquare(params.nu, size=n) / params.nu
         z = z / np.sqrt(v)[:, None]
-    return Dataset(rows=params.xi + z * params.omega_diag)
+    return Dataset(rows=params.xi + z * omega_diag)
 
 
 def alpha_star(params: DirectParams) -> float:

@@ -35,7 +35,7 @@ from scipy import optimize, special
 from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
 from .distributions import Dataset, DirectParams, _alpha_star_sq, _mv_terms
-from .likelihood import ModelSpec, _stack_loglik, loglik, resolve_penalty
+from .likelihood import ModelSpec, _row_loglik, _stack_loglik, loglik, resolve_penalty
 from .penalty import PenaltyCoeffs, q_value
 from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
 
@@ -92,7 +92,8 @@ class FitResult:
     next to an edge of its search range [0.1, 1e6].  ``stop_reason`` says
     why the search behind the estimate ended: "gtol", "maxiter",
     "line-search", "non-finite" or "threshold" for BFGS; "root", "one-sign",
-    "zero-score" or "no-sign-change" for the shape-only bracket search;
+    "zero-score", "no-sign-change" or "maxiter" (its Newton search ran out
+    of evaluations, ``converged`` false) for the shape-only bracket search;
     "separated" for a d > 1 shape-only skew-normal MLE whose sample is
     separated (:func:`fit_mle`).  ``rising_ray`` is set on a shape-only
     skew-t MLE whose sample is separated: a direction, scaled to largest
@@ -611,7 +612,8 @@ def _check_data(data: Dataset, spec: ModelSpec, fmap: _FreeMap):
 # ---------------------------------------------------------------------------
 # one-parameter fits: safeguarded Newton on the analytic shape score
 
-_NEWTON_XTOL = 1e-12
+_NEWTON_STEP = 1e-7  # a Newton step this small, relative, ends the search
+_NEWTON_XTOL = 1e-12  # as does a bisection bracket this narrow
 _NEWTON_MAXEV = 100
 
 
@@ -642,7 +644,7 @@ class _ShapeScore:
         return float((self.w * r).sum()), -float(self.w2 @ r_dr)
 
 
-def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int]:
+def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int, bool]:
     """Root of ``f`` in [lo, hi] given f(lo) > 0 > f(hi).
 
     ``f`` returns (value, derivative).  Each evaluation moves the end of
@@ -650,28 +652,31 @@ def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int]
     the bracket becomes a bisection, so the search ends at a crossing
     from positive to negative: a local maximum when ``f`` is the
     derivative of an objective.  Starts at ``x0`` when it lies strictly
-    inside, else at the midpoint.  Returns the root and the number of
-    evaluations.
+    inside, else at the midpoint.  A Newton step of at most
+    1e-7 max(1, |x|) ends the search at its target, clamped to the
+    bracket: that target's error is of the order of the step squared.
+    Returns the root, the number of evaluations, and whether the search
+    ended before ``_NEWTON_MAXEV`` evaluations ran out.
     """
     x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
     for nfev in range(1, _NEWTON_MAXEV + 1):
         fx, dfx = f(x)
         if fx == 0.0:
-            return x, nfev
+            return x, nfev, True
         if fx > 0.0:
             lo = x
         else:
             hi = x
-        tol = _NEWTON_XTOL * max(1.0, abs(x))
+        scale = max(1.0, abs(x))
         x_new = x - fx / dfx if dfx != 0.0 else math.nan
-        if abs(x_new - x) <= tol:
-            return min(max(x_new, lo), hi), nfev
+        if abs(x_new - x) <= _NEWTON_STEP * scale:
+            return min(max(x_new, lo), hi), nfev, True
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-            if hi - lo <= tol:
-                return x_new, nfev
+            if hi - lo <= _NEWTON_XTOL * scale:
+                return x_new, nfev, True
         x = x_new
-    return x, _NEWTON_MAXEV
+    return x, _NEWTON_MAXEV, False
 
 
 def _doublings(first: float):
@@ -694,11 +699,12 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
 
     def result(a: float, nfev: int, stop_reason: str, diverged: bool = False) -> FitResult:
         est = DirectParams.scalar(xi, omega, a, nu)
-        ll = loglik(est, data, spec)
+        ll = _row_loglik(est, data)
         return FitResult(method=method, estimates=est, loglik_at_opt=ll,
                          penalized_loglik_at_opt=None if coeffs is None
                          else ll - q_value(coeffs, a * a),
-                         diverged=diverged, iterations=nfev, evaluations=nfev, penalty=coeffs,
+                         diverged=diverged, converged=stop_reason != "maxiter",
+                         iterations=nfev, evaluations=nfev, penalty=coeffs,
                          stop_reason=stop_reason)
 
     z = (data.column(0) - xi) / omega
@@ -733,9 +739,9 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
         if h_hi == 0.0:
             return result(hi, nfev, "root")
         if h_hi < 0.0 if side > 0.0 else h_hi > 0.0:
-            root, n_newton = _safeguarded_newton(h, *sorted((lo, hi)),
-                                                 float(_shape_moment_alpha(z)))
-            return result(root, nfev + n_newton, "root")
+            root, n_newton, found = _safeguarded_newton(h, *sorted((lo, hi)),
+                                                        float(_shape_moment_alpha(z)))
+            return result(root, nfev + n_newton, "root" if found else "maxiter")
         lo = hi
     if method == "MLE":
         return result(lo, nfev, "no-sign-change", diverged=True)
@@ -875,13 +881,13 @@ def _stack_penalty(spec: ModelSpec) -> Callable:
     to their values c1 log(1 + c2 alpha*^2), each bit-equal to :func:`q_value`'s.
 
     The coefficients are the model's (:func:`resolve_penalty`): constant
-    for the skew-normal and a pinned nu, re-resolved at each row's nu
-    when nu is free.
+    for the skew-normal and a pinned nu, resolved once per distinct nu of
+    the stack when nu is free.
     """
     if spec.family == "st" and "nu" not in spec.fixed:
         def coefficients(nu):
-            coeffs = [resolve_penalty(spec, v) for v in nu]
-            return np.array([c.c1 for c in coeffs]), np.array([c.c2 for c in coeffs])
+            by_nu = {v: resolve_penalty(spec, v) for v in set(nu)}
+            return np.array([by_nu[v].c1 for v in nu]), np.array([by_nu[v].c2 for v in nu])
     else:
         coeffs = resolve_penalty(spec)
         coefficients = lambda nu: (coeffs.c1, coeffs.c2)

@@ -152,6 +152,12 @@ def loglik(params: DirectParams, data: Dataset, spec: ModelSpec) -> float:
     spec.validate_params(params)
     if data.d != spec.dimension:
         raise ValueError(f"data dimension {data.d} != model dimension {spec.dimension}")
+    return _row_loglik(params, data)
+
+
+def _row_loglik(params: DirectParams, data: Dataset) -> float:
+    """:func:`loglik` without its checks, for fits whose ``params`` are of the model
+    and of ``data``'s dimension by construction."""
     return float(_stack_loglik(data, params.xi[None], params.omega_mat[None],
                                params.alpha[None], [params.nu])[0])
 

@@ -78,6 +78,7 @@ class StudyConfig:
     exclusion: str = "alpha-only"
     workers: int | None = None
     label: str = ""
+    _spec: ModelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(self.sample_sizes)
@@ -100,6 +101,8 @@ class StudyConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "fixed", dict(self.fixed))
+        object.__setattr__(self, "_spec", ModelSpec(family=self.family, dimension=self.dimension,
+                                                    fixed=self.fixed))
         _check_divergence_threshold(self.divergence_threshold)
         for e in self.estimators:
             if e not in _ESTIMATORS:
@@ -108,12 +111,13 @@ class StudyConfig:
             raise ValueError(f"unknown exclusion rule {self.exclusion!r}")
         if self.true_params.d != self.dimension:
             raise ValueError("true_params dimension does not match config dimension")
-        if "SF" in self.estimators and not self.model_spec().is_one_param:
+        if "SF" in self.estimators and not self._spec.is_one_param:
             raise ValueError("the modified-score estimator requires the one-parameter model "
                              "(pin xi and omega)")
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(family=self.family, dimension=self.dimension, fixed=self.fixed)
+        """The study's model, built once with the config (and again by ``replace``)."""
+        return self._spec
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":

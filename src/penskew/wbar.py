@@ -16,7 +16,7 @@ from scipy import optimize
 
 from .distributions import Dataset, DirectParams, _alpha_star_sq, sample
 from .estimators import DivergedMLEError, FitResult, fit_mle, fit_mple
-from .likelihood import ModelSpec, loglik, penalized_loglik
+from .likelihood import ModelSpec, _row_loglik, loglik, penalized_loglik
 from .penalty import q_value
 
 __all__ = [
@@ -194,7 +194,7 @@ def fit_wbar(data: Dataset, spec: ModelSpec, mle: FitResult, mple: FitResult, *,
     else:
         t_root, multiplicity = _scan_crossing(g)
     theta_bar = interpolate_params(theta_hat, theta_tilde, t_root)
-    ll = loglik(theta_bar, data, spec)
+    ll = _row_loglik(theta_bar, data)  # a point between two fits of spec is one too
     a2 = _alpha_star_sq(theta_bar.omega_mat[None], theta_bar.alpha[None])[0]
     diag = WbarDiagnostics(
         q_of_y=q_y,

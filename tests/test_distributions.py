@@ -57,6 +57,16 @@ class TestDirectParams:
         with pytest.raises(ValueError, match=message):
             DirectParams(xi=[0.0], omega_mat=omega_mat, alpha=[1.0])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["xi", "alpha"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_location_and_shape(self, d, name, bad):
+        # the scalar tests of d = 1 refuse what the array tests of d > 1 do
+        args = dict(xi=np.zeros(d), omega_mat=np.eye(d), alpha=np.ones(d))
+        args[name][0] = bad
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            DirectParams(**args)
+
     def test_scalar_tiny_positive_scale_accepted(self):
         assert DirectParams(xi=[0.0], omega_mat=[[5e-324]], alpha=[1.0]).d == 1
 
@@ -267,6 +277,61 @@ class TestSample:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample(DirectParams.scalar(0, 1, 0), 0, 1)
+
+
+def uncached_sample(params, n, seed):
+    """Draws of ``sample`` with every factor derived from ``params`` on the call."""
+    rng = np.random.default_rng(seed)
+    omega_bar = params.omega_bar
+    delta = (omega_bar @ params.alpha) / np.sqrt(1.0 + float(params.alpha @ omega_bar @ params.alpha))
+    chol = np.linalg.cholesky(omega_bar - np.outer(delta, delta))
+    z = np.abs(rng.standard_normal(n))[:, None] * delta + rng.standard_normal((n, params.d)) @ chol.T
+    if params.is_skew_t:
+        z = z / np.sqrt(rng.chisquare(params.nu, size=n) / params.nu)[:, None]
+    return params.xi + z * params.omega_diag
+
+
+DRAW_ARGS = {
+    "sn1": dict(xi=[0.5], omega_mat=[[2.0]], alpha=[5.0]),
+    "st1": dict(xi=[0.0], omega_mat=[[1.0]], alpha=[3.0], nu=4.0),
+    "sn2": dict(xi=[0.0, 1.0], omega_mat=[[1.0, 0.5], [0.5, 2.0]], alpha=[3.0, -1.0]),
+    "st3": dict(xi=[0.0, 1.0, -1.0], omega_mat=np.eye(3) + 0.3, alpha=[2.0, -1.0, 0.5], nu=6.0),
+}
+
+
+class TestSampleFactors:
+    """``sample`` keeps the factors it derives from the parameters on the first draw."""
+
+    @pytest.mark.parametrize("key", sorted(DRAW_ARGS))
+    def test_draws_are_bit_equal_before_and_after_the_cache_fills(self, key):
+        p = DirectParams(**DRAW_ARGS[key])
+        seed = np.random.SeedSequence(5, spawn_key=(40, 1))
+        first = sample(p, 40, seed).rows
+        assert "_draw_factors" in vars(p)
+        assert np.array_equal(first, uncached_sample(p, 40, seed))
+        assert np.array_equal(sample(p, 40, seed).rows, first)
+        assert np.array_equal(sample(DirectParams(**DRAW_ARGS[key]), 40, seed).rows, first)
+
+    def test_arrays_are_read_only_copies(self):
+        xi, omega_mat, alpha = np.zeros(2), np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([3.0, -1.0])
+        p = DirectParams(xi=xi, omega_mat=omega_mat, alpha=alpha)
+        before = sample(p, 30, 8).rows
+        xi[0], omega_mat[0, 0], alpha[0] = 9.0, 9.0, 9.0
+        assert p.xi.tolist() == [0.0, 0.0] and p.alpha.tolist() == [3.0, -1.0]
+        assert p.omega_mat.tolist() == [[1.0, 0.5], [0.5, 2.0]]
+        assert np.array_equal(sample(p, 30, 8).rows, before)
+        for name in ("xi", "omega_mat", "alpha"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[0] = 1.0
+
+    @pytest.mark.parametrize("key", ["st1", "sn2"])
+    def test_pickle_round_trip_draws_the_same(self, key):
+        import pickle
+        p = DirectParams(**DRAW_ARGS[key])
+        drawn = sample(p, 30, 12).rows  # fills the cache before pickling
+        back = pickle.loads(pickle.dumps(p))
+        assert not any(getattr(back, name).flags.writeable for name in ("xi", "omega_mat", "alpha"))
+        assert np.array_equal(sample(back, 30, 12).rows, drawn)
 
 
 class TestScalarSummaries:

@@ -629,13 +629,14 @@ def test_one_param_fits_match_brent_oracle(spec, n, alpha):
 
 
 # shape-only (MLE, MPLE, SF) estimates and score evaluations on the criterion-5
-# samples SeedSequence(20260810, spawn_key=(n, rep)) of SN(0, 1, 5), recorded
-# before zeta1 took its erfcx form
+# samples SeedSequence(20260810, spawn_key=(n, rep)) of SN(0, 1, 5): the
+# estimates recorded before zeta1 took its erfcx form, the evaluations since
+# a Newton step below 1e-7 relative ends the search
 RECORDED_SHAPE_FITS = {
-    (50, 0): ((8.159299877654695, 5.743547475339278, 5.738360455407868), (7, 6, 9)),
-    (50, 1): ((12.694316302348273, 4.913424758765962, 4.906066689050211), (9, 9, 10)),
-    (1000, 0): ((5.386721741905404, 5.327357469930555, 5.3271825140057585), (7, 7, 10)),
-    (1000, 1): ((5.84030316256407, 5.7766366543696295, 5.776475643309863), (6, 6, 9)),
+    (50, 0): ((8.159299877654695, 5.743547475339278, 5.738360455407868), (6, 5, 9)),
+    (50, 1): ((12.694316302348273, 4.913424758765962, 4.906066689050211), (8, 8, 9)),
+    (1000, 0): ((5.386721741905404, 5.327357469930555, 5.3271825140057585), (6, 6, 9)),
+    (1000, 1): ((5.84030316256407, 5.7766366543696295, 5.776475643309863), (5, 5, 8)),
 }
 
 
@@ -648,6 +649,55 @@ def test_shape_only_fits_match_their_recorded_values(key):
                                rtol=1e-12, atol=0)
     assert tuple(f.evaluations for f in fits) == evaluations
     assert not fits[0].diverged
+
+
+def oracle_shape_root(h):
+    """brentq at xtol 1e-15 on the first doubling 1, 2, 4, ... (on the side that h(0)'s sign
+    picks) where h changes sign, or None when it keeps its sign up to 2^45."""
+    side, lo = math.copysign(1.0, h(0.0)), 0.0
+    for j in range(46):
+        hi = side * 2.0 ** j
+        if h(hi) * side <= 0.0:
+            return float(optimize.brentq(h, min(lo, hi), max(lo, hi), xtol=1e-15))
+        lo = hi
+    return None
+
+
+# the four recorded samples, and the first 10 replicates of each criterion-5
+# sample size at the held-out seed 4099
+ORACLE_SHAPE_SAMPLES = ([(20260810, *key) for key in sorted(RECORDED_SHAPE_FITS)]
+                        + [(4099, n, rep) for n in (50, 100, 250, 500, 1000) for rep in range(10)])
+
+
+@pytest.mark.parametrize("seed,n,rep", ORACLE_SHAPE_SAMPLES)
+def test_shape_only_fits_match_a_tight_brentq_oracle(seed, n, rep):
+    # the Newton search stops on a step below 1e-7 relative: its estimate is
+    # then about that step squared from the root
+    data = sample(DirectParams.scalar(0.0, 1.0, 5.0), n, seeded(seed, n, rep))
+    z = data.column(0)
+    coeffs = resolve_penalty(ONE_PARAM)
+    scores = {"MLE": lambda a: shape_score(data, ONE_PARAM, a)[0],
+              "MPLE": lambda a: shape_score(data, ONE_PARAM, a)[0] - q_prime(coeffs, a),
+              "SF": lambda a: oracle_sf_score(z, a)}
+    for method, fit in (("MLE", fit_mle), ("MPLE", fit_mple), ("SF", fit_sf_one_param)):
+        got = fit(data, ONE_PARAM)
+        if got.diverged:
+            assert method == "MLE" and got.stop_reason == "one-sign"
+            continue
+        assert (got.stop_reason, got.converged) == ("root", True)
+        want = oracle_shape_root(scores[method])
+        assert abs(float(got.estimates.alpha[0]) - want) <= 1e-12 * abs(want), method
+
+
+# the bracket ends each fit evaluates before its Newton search on the sample
+# below (alpha-hat about 5.8): the threshold 100, the end 150, and 1, 2, 4, 8
+@pytest.mark.parametrize("fit, ends", [(fit_mle, 1), (fit_mple, 1), (fit_sf_one_param, 4)])
+def test_shape_only_newton_out_of_evaluations_reports_maxiter(fit, ends, monkeypatch):
+    monkeypatch.setattr(estimators, "_NEWTON_MAXEV", 2)
+    data = sample(DirectParams.scalar(0.0, 1.0, 5.0), 1000, seeded(20260810, 1000, 1))
+    got = fit(data, ONE_PARAM)
+    assert (got.stop_reason, got.converged) == ("maxiter", False)
+    assert got.evaluations == ends + 2
 
 
 def test_newton_derivatives_match_central_differences():
@@ -1218,6 +1268,26 @@ def test_penalized_objective_equals_penalized_loglik_per_row(name):
     for i, value in zip(order, values):
         row, ok = rows[i]
         assert value == (-penalized_loglik(fmap.unpack(row), data, spec) if ok else _BIG)
+
+
+@pytest.mark.parametrize("name", ["st_free", "d2_st_free"])
+def test_free_nu_penalty_resolves_once_per_distinct_nu(name, monkeypatch):
+    truth, spec = BATCH_CLASSES[name]
+    fmap = _FreeMap(spec)
+    x = fmap.pack(truth)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    X = np.vstack([x, x + np.diag(h), x - np.diag(h)])  # a BFGS batch: 2k + 1 rows, 3 nu
+    resolve, calls = estimators.resolve_penalty, []
+
+    def counted(spec, nu=None):
+        calls.append(nu)
+        return resolve(spec, nu)
+
+    monkeypatch.setattr(estimators, "resolve_penalty", counted)
+    objective = _neg_loglik_factory(sample(truth, 120, seeded(23)), spec, fmap,
+                                    estimators._stack_penalty(spec))
+    objective(X)
+    assert len(X) > 3 and sorted(calls) == sorted(set(fmap.stack(X)[3])) and len(calls) == 3
 
 
 @pytest.mark.parametrize("name", ["st_pin", "st_free", "d2_st_pin", "d2_st_free"])

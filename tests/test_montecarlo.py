@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import penskew.montecarlo as montecarlo
 from penskew.distributions import DirectParams, sample
 from penskew.estimators import OptimizationError
+from penskew.likelihood import ModelSpec
 from penskew.montecarlo import (
     RateCurves,
     StudyConfig,
@@ -292,8 +294,8 @@ class TestWorkCounts:
         cfg = shape_only_config(sample_sizes=(50, 100, 250, 500, 1000), replicates=40,
                                 base_seed=20260810)
         work = run_study(cfg).metadata["work"]
-        assert self.totals(work) == {"MLE": [1419, 1419], "MPLE": [1510, 1510],
-                                     "SF": [1976, 1976], "WBAR": [200, 0]}
+        assert self.totals(work) == {"MLE": [1271, 1271], "MPLE": [1339, 1339],
+                                     "SF": [1814, 1814], "WBAR": [200, 0]}
         assert run_study(dataclasses.replace(cfg, workers=2)).metadata["work"] == work
 
     def test_table1_slice(self):
@@ -356,6 +358,16 @@ class TestStudyConfig:
     def test_rejects_bad_sizes_and_workers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             three_param_config(**{field: value})
+
+    def test_keeps_its_model_spec(self):
+        cfg = shape_only_config()
+        assert cfg.model_spec() is cfg.model_spec()
+        assert cfg.model_spec() == ModelSpec(family="sn", dimension=1,
+                                             fixed={"xi": 0.0, "omega": 1.0})
+        wider = dataclasses.replace(cfg, fixed={"xi": 0.0}, estimators=("MLE", "MPLE"))
+        assert wider.model_spec().fixed == {"xi": 0.0}
+        assert not wider.model_spec().is_one_param and cfg.model_spec().is_one_param
+        assert pickle.loads(pickle.dumps(cfg)).model_spec() == cfg.model_spec()
 
     def test_accepts_numpy_integer_sizes(self):
         cfg = three_param_config(sample_sizes=np.array([30, 20]), workers=np.int64(2),

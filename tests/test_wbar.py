@@ -228,12 +228,16 @@ class TestRootSearch:
         _, data, spec, mle, mple = class_fits
         at = []
 
-        def counting(params, data_, spec_):
-            at.append(params)
-            return loglik(params, data_, spec_)
+        def counting(fn):
+            def counted(params, *args):
+                at.append(params)
+                return fn(params, *args)
+            return counted
 
-        monkeypatch.setattr(penskew.wbar, "loglik", counting)
-        monkeypatch.setattr(penskew.likelihood, "loglik", counting)
+        # the checked loglik and the one-row pass behind it, wherever fit_wbar looks them up
+        for module in (penskew.wbar, penskew.likelihood):
+            for name in ("loglik", "_row_loglik"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
         wbar = fit_wbar(data, spec, mle, mple)
         assert len(at) == 1 and at[0] is wbar.estimates
 
