@@ -157,19 +157,30 @@ class DirectParams:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x d matrix of observations, one row per observation."""
+    """An n x d matrix of observations, one row per observation.
+
+    ``rows`` is a read-only float copy of the argument, so what a fit
+    derives from it once stays valid: the shape-only fits keep their
+    prepared sample in ``_prepared`` (``estimators._shape_sample``).  A
+    pickled copy is rebuilt through the constructor, without it.
+    """
 
     rows: np.ndarray = field(repr=False)
+    _prepared: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _read_only(self.rows, 0)
         if rows.ndim == 1:
-            rows = rows[:, None]
+            rows = rows[:, None]  # a view of a read-only array is read-only
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError(f"rows must be a nonempty 2-D array, got shape {np.shape(self.rows)}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("observations must be finite")
         object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        # unpickled arrays would come back writable; the constructor makes them read-only
+        return type(self), (self.rows,)
 
     @property
     def n(self) -> int:
@@ -282,16 +293,8 @@ def _stack_log_terms(rows, xi, omega_mat, alpha, nu):
     The one kernel per d that the densities return and the log-likelihood sums: the
     scalar formula on (m, 1) columns for d = 1, the terms of :func:`_mv_terms` for d > 1."""
     if rows.shape[1] == 1:
-        omega = np.sqrt(omega_mat[:, :, 0])
-        z = (rows[:, 0] - xi) / omega
-        if nu is None:
-            return (-0.5 * z * z - 0.5 * _LOG2PI - np.log(omega)
-                    + _LOG2 + special.log_ndtr(alpha * z))
-        z2 = z * z
-        arg = alpha * z * np.sqrt((nu + 1.0) / (nu + z2))
-        if np.isinf(z2).any():  # the limit alpha sign(z) sqrt(nu + 1), where z^2 overflows
-            arg = np.where(np.isinf(z2), alpha * np.sign(z) * np.sqrt(nu + 1.0), arg)
-        return _LOG2 - np.log(omega) + _t_logpdf(z, nu) + t_logcdf(arg, nu + 1.0)
+        z, c, factor = _scalar_alpha_free(rows[:, 0], xi, omega_mat, nu)
+        return c + _scalar_log_cdf(alpha, z, factor, nu)
     qx, logdet, u = _mv_terms(rows, xi, omega_mat, alpha)
     d, logdet = rows.shape[1], logdet[:, None]
     if nu is None:
@@ -310,6 +313,31 @@ def _stack_log_terms(rows, xi, omega_mat, alpha, nu):
         log1p_q[i, far[i]] = 2.0 * np.log(scale) + np.log(q[0]) - np.log(nus[i, 0])
         arg[i, far[i]] = w[0] / np.sqrt(q[0]) * np.sqrt(d + nus[i, 0])
     return _st_log_terms(log1p_q, logdet, arg, d, nu)
+
+
+def _scalar_alpha_free(y, xi, omega_mat, nu) -> tuple:
+    """The d = 1 kernel's terms that do not depend on alpha, for the column ``y`` under
+    each row of a stack: the standardized z = (y - xi) / omega, the log-density terms c
+    other than the log CDF, and for the skew-t the factor sqrt((nu + 1) / (nu + z^2)) of
+    the CDF argument (None for the skew-normal); each (m, n)."""
+    omega = np.sqrt(omega_mat[:, :, 0])
+    z = (y - xi) / omega
+    if nu is None:
+        return z, -0.5 * z * z - 0.5 * _LOG2PI - np.log(omega) + _LOG2, None
+    return z, _LOG2 - np.log(omega) + _t_logpdf(z, nu), np.sqrt((nu + 1.0) / (nu + z * z))
+
+
+def _scalar_log_cdf(alpha, z, factor, nu) -> np.ndarray:
+    """The d = 1 kernel's log CDF terms at the shape ``alpha``, a float or an (m, 1)
+    column, from :func:`_scalar_alpha_free`'s z and factor: added to its c they are the
+    log densities."""
+    if nu is None:
+        return special.log_ndtr(alpha * z)
+    arg = alpha * z * factor
+    far = factor == 0.0  # exactly where z^2 overflows
+    if far.any():  # the limit alpha sign(z) sqrt(nu + 1) there
+        arg = np.where(far, alpha * np.sign(z) * np.sqrt(nu + 1.0), arg)
+    return t_logcdf(arg, nu + 1.0)
 
 
 def _logpdf(x, params: DirectParams):

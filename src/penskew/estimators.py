@@ -20,7 +20,8 @@ of their central-difference Hessian as one such stack too.  Each
 point's value is bit-equal to that of a pass of its own.
 The shape-only MLE, MPLE and SF (xi and omega pinned, d = 1) share one
 sign-bracketed safeguarded Newton search on the closed-form score in
-alpha plus the estimator's correction, one pass over the sample per step.
+alpha plus the estimator's correction, one pass over the sample per step,
+and one prepared, sorted sample per Dataset.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import numpy as np
 from scipy import optimize, special
 from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
-from .distributions import Dataset, DirectParams, _alpha_star_sq, _mv_terms
-from .likelihood import ModelSpec, _row_loglik, _stack_loglik, loglik, resolve_penalty
+from .distributions import (Dataset, DirectParams, _alpha_star_sq, _mv_terms,
+                            _scalar_alpha_free, _scalar_log_cdf)
+from .likelihood import ModelSpec, _stack_loglik, loglik, resolve_penalty
 from .penalty import PenaltyCoeffs, q_value
 from .specfun import _gauss_hermite, _zeta1, expect_t, zeta1_t
 
@@ -618,20 +620,53 @@ _NEWTON_MAXEV = 100
 
 
 class _ShapeScore:
-    """Score of the shape-only log-likelihood in alpha, and its derivative.
+    """The prepared shape-only sample: ``data`` standardized under pinned xi and omega
+    (and nu), with the score of the log-likelihood in alpha, its derivative, and the
+    log-likelihood itself.
 
-    Skew-normal: sum z zeta1(alpha z).  Skew-t: sum w zeta1_t(alpha w; m)
-    with w = z sqrt(m / (nu + z^2)) and m = nu + 1.  The derivatives use
-    zeta1'(x) = -zeta1(x) (x + zeta1(x)) and
+    :func:`_shape_sample` builds one per (Dataset, xi, omega, nu), and the MLE,
+    MPLE and SF share it.  The score and its derivative are sums over the
+    sample, so their arrays are sorted: erfcx, log_ndtr and betainc run
+    faster on sorted arguments.  Skew-normal: sum w zeta1(alpha w) with w = z.
+    Skew-t: sum w zeta1_t(alpha w; m) with w = z sqrt(m / (nu + z^2)),
+    m = nu + 1, and its limit sign(z) sqrt(m) where z^2 overflows.  The
+    derivatives use zeta1'(x) = -zeta1(x) (x + zeta1(x)) and
     zeta1_t'(x; m) = -zeta1_t(x; m) ((m + 1) x / (m + x^2) + zeta1_t(x; m)).
-    The score at zero is a positive constant times sum(w), so the sign
-    of ``w.sum()`` says on which side of zero the likelihood rises.
+    The score at zero is a positive constant times sum(w), so its sign
+    ``side`` says on which side of zero the likelihood rises.  ``one_sign``
+    is the common sign of a sample all of one sign (z[0] > 0 or z[-1] < 0,
+    exact), else 0, and ``start`` the moment estimate.
+
+    Where z^2 overflows (|z| > 1.3e154), the skew-normal's w is clipped to
+    +-1e154, so w^2 stays finite: zeta1(alpha w) is 0 there, before and
+    after the clip, on the side of zero that the entry's sign picks.  The
+    log-likelihood keeps the kernel's alpha-free terms c_i in row order
+    (``distributions._scalar_alpha_free``), so :meth:`loglik` is
+    ``likelihood.loglik`` bit for bit.
     """
 
-    def __init__(self, z: np.ndarray, nu: float | None):
+    def __init__(self, data: Dataset, xi: float, omega: float, nu: float | None):
+        self.key, self.nu = (xi, omega, nu), nu
         self.m = None if nu is None else nu + 1.0
-        self.w = z if nu is None else z * np.sqrt(self.m / (nu + z * z))
-        self.w2 = self.w * self.w
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the kernel's terms on a one-row stack of DirectParams.scalar(xi, omega, ., nu)
+            self._z, self._c, self._factor = _scalar_alpha_free(
+                data.rows[:, 0], np.array([[xi]]), np.array([[[omega ** 2]]]), nu)
+            z = np.sort(self._z[0])
+            z2 = z * z
+            far = math.isinf(z2[0]) or math.isinf(z2[-1])
+            if nu is None:
+                w = np.clip(z, -1e154, 1e154) if far else z
+            else:
+                w = z * np.sqrt(self.m / (nu + z2))
+                w = np.where(np.isinf(z2), np.sign(z) * math.sqrt(self.m), w) if far else w
+            self.w, self.w2 = w, z2 if w is z else w * w
+            start = float(_shape_moment_alpha(z))
+        if not math.isfinite(start):  # the moments overflowed; the skewness is scale-free
+            start = float(_shape_moment_alpha(z / max(-z[0], z[-1])))
+        self.start = start
+        self.one_sign = 1.0 if z[0] > 0.0 else -1.0 if z[-1] < 0.0 else 0.0
+        self.side = float(np.sign(self.w.sum()))
 
     def __call__(self, a: float) -> tuple[float, float]:
         u = a * self.w
@@ -642,6 +677,25 @@ class _ShapeScore:
             r = zeta1_t(u, self.m)
             r_dr = r * ((self.m + 1.0) * u / (self.m + u * u) + r)
         return float((self.w * r).sum()), -float(self.w2 @ r_dr)
+
+    def loglik(self, a: float) -> float:
+        """The log-likelihood at the shape ``a``."""
+        return float(np.sum(self._c + _scalar_log_cdf(a, self._z, self._factor, self.nu),
+                            axis=-1)[0])
+
+
+def _shape_sample(data: Dataset, spec: ModelSpec) -> _ShapeScore:
+    """The prepared sample of ``data`` under the shape-only ``spec``: built for its
+    (xi, omega, nu) on the first call and kept in ``data``'s one slot."""
+    if data.d != 1:
+        raise ValueError(f"data dimension {data.d} != model dimension 1")
+    nu = spec.fixed.get("nu")
+    key = (float(spec.fixed["xi"]), float(spec.fixed["omega"]), None if nu is None else float(nu))
+    prepared = data._prepared
+    if prepared is None or prepared.key != key:
+        prepared = _ShapeScore(data, *key)
+        object.__setattr__(data, "_prepared", prepared)
+    return prepared
 
 
 def _safeguarded_newton(f, lo: float, hi: float, x0: float) -> tuple[float, int, bool]:
@@ -685,7 +739,8 @@ def _doublings(first: float):
 
 
 def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitResult:
-    """Shape-only MLE, MPLE or SF: the root of h = score + correction in alpha.
+    """Shape-only MLE, MPLE or SF: the root of h = score + correction in alpha, on the
+    prepared sample of ``data`` (:func:`_shape_sample`).
 
     The correction is 0, -q'(alpha) or M(alpha).  On the side the score at
     zero picks, h is evaluated at each of ``ends`` in turn until it is 0 or
@@ -693,27 +748,25 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
     the root between the last two points.  If h never changes sign, the
     MLE has diverged and the others raise :class:`RootBracketError`.
     """
-    xi = float(spec.fixed["xi"]); omega = float(spec.fixed["omega"])
-    nu = spec.fixed.get("nu")
+    score = _shape_sample(data, spec)
+    xi, omega, nu = score.key
     coeffs = resolve_penalty(spec) if method == "MPLE" else None
 
     def result(a: float, nfev: int, stop_reason: str, diverged: bool = False) -> FitResult:
-        est = DirectParams.scalar(xi, omega, a, nu)
-        ll = _row_loglik(est, data)
-        return FitResult(method=method, estimates=est, loglik_at_opt=ll,
+        ll = score.loglik(a)
+        return FitResult(method=method, estimates=DirectParams.scalar(xi, omega, a, nu),
+                         loglik_at_opt=ll,
                          penalized_loglik_at_opt=None if coeffs is None
                          else ll - q_value(coeffs, a * a),
                          diverged=diverged, converged=stop_reason != "maxiter",
                          iterations=nfev, evaluations=nfev, penalty=coeffs,
                          stop_reason=stop_reason)
 
-    z = (data.column(0) - xi) / omega
-    if method == "MLE" and (np.all(z > 0) or np.all(z < 0)):
+    if method == "MLE" and score.one_sign:
         # a one-sign sample maximizes the shape-only likelihood at infinity;
         # the sign test is exact where a search could stall on the
         # float-flat plateau short of the threshold
-        return result(math.copysign(ends[-1], z[0]), 0, "one-sign", diverged=True)
-    score = _ShapeScore(z, None if nu is None else float(nu))
+        return result(score.one_sign * ends[-1], 0, "one-sign", diverged=True)
     if method == "MLE":
         h = score
     elif method == "MPLE":
@@ -728,7 +781,7 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
             s, ds = score(a)
             m, dm = _sn_m_and_slope(a)
             return s + m, ds + dm
-    side = float(np.sign(score.w.sum()))
+    side = score.side
     if side == 0.0:
         return result(0.0, 0, "zero-score")
     lo, nfev = 0.0, 0
@@ -739,8 +792,7 @@ def _fit_shape_only(data: Dataset, spec: ModelSpec, method: str, ends) -> FitRes
         if h_hi == 0.0:
             return result(hi, nfev, "root")
         if h_hi < 0.0 if side > 0.0 else h_hi > 0.0:
-            root, n_newton, found = _safeguarded_newton(h, *sorted((lo, hi)),
-                                                        float(_shape_moment_alpha(z)))
+            root, n_newton, found = _safeguarded_newton(h, *sorted((lo, hi)), score.start)
             return result(root, nfev + n_newton, "root" if found else "maxiter")
         lo = hi
     if method == "MLE":
@@ -783,10 +835,10 @@ def fit_mle(data: Dataset, spec: ModelSpec, *,
     concave, so the rise does not show that no finite maximum exists.
     """
     thr = _check_divergence_threshold(divergence_threshold)
-    fmap = _FreeMap(spec)
-    _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MLE", (thr,))
+    fmap = _FreeMap(spec)
+    _check_data(data, spec, fmap)
     ray = None
     if fmap.free_alpha and not (fmap.free_xi or fmap.free_scale):
         xi, omega_mat = fmap._fixed("xi"), fmap._fixed_omega_mat()
@@ -869,10 +921,10 @@ def fit_mple(data: Dataset, spec: ModelSpec) -> FitResult:
     penalty coefficients are the model's (:func:`resolve_penalty`),
     re-resolved at each candidate nu when nu is free.
     """
-    fmap = _FreeMap(spec)
-    _check_data(data, spec, fmap)
     if spec.is_one_param:
         return _fit_shape_only(data, spec, "MPLE", _doublings(_MPLE_FIRST_END))
+    fmap = _FreeMap(spec)
+    _check_data(data, spec, fmap)
     return _fit_bfgs(data, spec, fmap, _stack_penalty(spec))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import Dataset, DirectParams, sample
 from .estimators import (_FreeMap, _check_divergence_threshold, fit_mle, fit_mple,
                          fit_sf_one_param)
-from .likelihood import ModelSpec
+from .likelihood import ModelSpec, resolve_penalty
 from .wbar import fit_wbar
 
 __all__ = [
@@ -336,10 +336,14 @@ def run_study(config: StudyConfig) -> StudySummary:
     failures are logged and counted separately from MLE divergence.  The
     metadata's ``stop_reasons`` counts, per "estimator@n=n", the
     ``FitResult.stop_reason`` of the estimates that the summary uses, and
-    its ``work`` sums their ``evaluations`` and ``iterations``.
+    its ``work`` sums their ``evaluations`` and ``iterations``.  A study
+    with the MPLE resolves its penalty coefficients before any replicate
+    runs (unless the skew-t's nu is free), so pool workers start with them.
     """
     spec = config.model_spec()
     fmap = _FreeMap(spec)
+    if "MPLE" in _needed_fits(config.estimators) and not fmap.free_nu:
+        resolve_penalty(spec)  # cached here, so that forked pool workers inherit it
     names = fmap.direct_names
     truth = fmap.direct_pack(config.true_params)
     rows, est_store, div_store = [], {e: {} for e in config.estimators}, {}

@@ -485,3 +485,22 @@ class TestDatasetCsv:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset(rows=np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2)])
+    def test_rows_are_a_read_only_copy(self, shape):
+        source = np.arange(10.0)[:np.prod(shape)].reshape(shape)
+        data = Dataset(source)
+        source[0] = 99.0
+        assert data.rows[0, 0] == 0.0 and data.rows.shape == (shape if len(shape) == 2 else (5, 1))
+        with pytest.raises(ValueError, match="read-only"):
+            data.rows[0, 0] = 1.0
+
+    def test_pickle_round_trip_keeps_the_rows_read_only(self):
+        import pickle
+        from penskew.estimators import fit_mle
+        from penskew.likelihood import ModelSpec
+        data = Dataset(np.array([0.3, -1.2, 2.5, 0.7]))
+        fit_mle(data, ModelSpec(fixed={"xi": 0.0, "omega": 1.0}))  # fills the prepared slot
+        back = pickle.loads(pickle.dumps(data))
+        assert np.array_equal(back.rows, data.rows) and not back.rows.flags.writeable
+        assert back._prepared is None

@@ -703,12 +703,86 @@ def test_shape_only_newton_out_of_evaluations_reports_maxiter(fit, ends, monkeyp
 def test_newton_derivatives_match_central_differences():
     # the one-parameter fits step with these slopes; a wrong one would only slow them
     from penskew.estimators import _ShapeScore, _sn_m_and_slope
-    z = sample(DirectParams.scalar(0.0, 1.0, 3.0, 4.0), 80, seeded(3304)).column(0)
+    data = sample(DirectParams.scalar(0.0, 1.0, 3.0, 4.0), 80, seeded(3304))
     h = 1e-6
-    for f in (_ShapeScore(z, None), _ShapeScore(z, 4.0), _sn_m_and_slope):
+    for f in (_ShapeScore(data, 0.0, 1.0, None), _ShapeScore(data, 0.0, 1.0, 4.0),
+              _sn_m_and_slope):
         for a in (-3.0, 0.5, 2.0, 7.0):
             fd = (f(a + h)[0] - f(a - h)[0]) / (2 * h)
             assert f(a)[1] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the prepared shape-only sample: built once per (Dataset, xi, omega, nu)
+
+class TestPreparedShapeSample:
+    @staticmethod
+    def fits(data, spec):
+        fits = (fit_mle, fit_mple) + ((fit_sf_one_param,) if spec.family == "sn" else ())
+        return [fit(data, spec) for fit in fits]
+
+    @pytest.mark.parametrize("truth, spec", [
+        (DirectParams.scalar(0.0, 1.0, 5.0), ONE_PARAM),
+        (DirectParams.scalar(0.0, 1.0, 3.0, 4.0),
+         ModelSpec(family="st", fixed={"xi": 0.0, "omega": 1.0, "nu": 4.0})),
+    ])
+    def test_a_permuted_sample_gives_the_same_estimates(self, truth, spec):
+        data = sample(truth, 250, seeded(4101, 0))
+        permuted = Dataset(data.rows[np.random.default_rng(0).permutation(data.n)])
+        for a, b in zip(self.fits(data, spec), self.fits(permuted, spec)):
+            assert a.estimates.alpha[0] == b.estimates.alpha[0]
+            assert (a.evaluations, a.stop_reason) == (b.evaluations, b.stop_reason)
+            # l at the estimate sums the rows in their own order, as loglik does
+            assert b.loglik_at_opt == loglik(b.estimates, permuted, spec)
+
+    def test_loglik_at_the_estimate_is_loglik_on_the_rates_slice(self):
+        # the first 40 replicates per n of the criterion-5 study at the held-out seed
+        truth, checked = DirectParams.scalar(0.0, 1.0, 5.0), 0
+        for n in (50, 100, 250, 500, 1000):
+            for rep in range(40):
+                data = sample(truth, n, seeded(4099, n, rep))
+                for fit in self.fits(data, ONE_PARAM):
+                    assert fit.loglik_at_opt == loglik(fit.estimates, data, ONE_PARAM)
+                    checked += 1
+        assert checked == 600
+
+    def test_one_dataset_under_several_pinnings_fits_as_fresh_ones(self):
+        data = sample(DirectParams.scalar(0.0, 1.0, 5.0), 120, seeded(4102, 0))
+        specs = [ONE_PARAM, ModelSpec(fixed={"xi": -0.3, "omega": 1.7}),
+                 ModelSpec(family="st", fixed={"xi": -0.3, "omega": 1.7, "nu": 4.0}), ONE_PARAM]
+        for spec in specs:
+            shared = [f.to_json_dict() for f in self.fits(data, spec)]
+            fresh = [f.to_json_dict() for f in self.fits(Dataset(data.rows), spec)]
+            assert shared == fresh
+
+    def test_fits_do_not_see_later_changes_to_the_source_array(self):
+        y = np.random.default_rng(1).normal(size=30) + 0.5
+        data = Dataset(y)
+        before = [f.to_json_dict() for f in self.fits(data, ONE_PARAM)]
+        y[:] = -y
+        assert np.array_equal(data.column(0), -y)
+        assert [f.to_json_dict() for f in self.fits(data, ONE_PARAM)] == before
+        with pytest.raises(ValueError, match="read-only"):
+            data.rows[0, 0] = 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["sn", "st"])
+    def test_far_tail_fits_take_the_limit_of_the_score(self, family):
+        # z^2 overflows at 1e200, not at 1e150: the skew-t score must take w's limit
+        # sign(z) sqrt(nu + 1) there, not 0, and the skew-normal slope must stay
+        # finite, or the searches fall back to bisection
+        rng = np.random.default_rng(1)
+        if family == "sn":
+            base, spec = rng.normal(size=30) + 0.5, ONE_PARAM
+        else:
+            base = rng.standard_t(4, 30) + 0.5
+            spec = ModelSpec(family="st", fixed={"xi": 0.0, "omega": 1.0, "nu": 4.0})
+        near, far = (self.fits(Dataset(np.append(base, v)), spec) for v in (1e150, 1e200))
+        for a, b in zip(near, far):
+            assert (a.stop_reason, b.stop_reason) == ("root", "root")
+            np.testing.assert_allclose(b.estimates.alpha, a.estimates.alpha, rtol=1e-12, atol=0)
+            if family == "sn":
+                assert abs(a.evaluations - b.evaluations) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,17 @@ class TestPoolPath:
                                                     "WBAR@n=50": {"input fit failed": 1}}
         assert_same_study(run_study(dataclasses.replace(cfg, workers=2)), serial)
 
+    def test_a_pooled_study_resolves_its_penalty_before_the_pool_starts(self):
+        # forked workers inherit the parent's cached coefficients instead of each
+        # rebuilding the Gauss-Hermite moments
+        from penskew.penalty import _sn_e2
+        cfg = shape_only_config(replicates=2)
+        serial = run_study(cfg)
+        _sn_e2.cache_clear()
+        pooled = run_study(dataclasses.replace(cfg, workers=2))
+        assert _sn_e2.cache_info().currsize == 1
+        assert_same_study(pooled, serial)
+
     def test_plan(self):
         def plan(**kw):
             return [(n, reps) for _, n, reps in montecarlo._pool_tasks(shape_only_config(**kw))]
